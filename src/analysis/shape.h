@@ -221,7 +221,9 @@ struct AbstractDatabase {
 
   /// Exact shapes of a concrete database (joined across same-named
   /// tables, must-sets intersected, cardinalities exact hulls); every name
-  /// present is `certain`.
+  /// present is `certain`. Reads each table's attribute sets from the
+  /// database's shared tables, so repeated calls on databases sharing
+  /// tables cost O(#tables), not O(rows).
   static AbstractDatabase FromDatabase(const core::TabularDatabase& db);
 
   const TableShape* Find(core::Symbol name) const;

@@ -1,7 +1,12 @@
 #ifndef TABULAR_CORE_DATABASE_H_
 #define TABULAR_CORE_DATABASE_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <mutex>
+#include <ranges>
+#include <utility>
 #include <vector>
 
 #include "core/symbol.h"
@@ -15,18 +20,66 @@ namespace tabular::core {
 /// one `Sales` table per region — so this is a multiset keyed by table name,
 /// stored in insertion order. A *scheme* for a database is any finite name
 /// set containing all of its table names.
+///
+/// A table is immutable once added: the database holds it through a shared
+/// pointer, so copying a database copies pointers, never cells, and every
+/// copy sees the same table objects. Programs change a database only by
+/// adding and removing whole tables (paper §3.6 maps one database value to
+/// the next), which makes this copy-on-write at table granularity.
 class TabularDatabase {
+  /// One table as a database holds it, with its attribute sets computed on
+  /// first use, once, beside it — the immutable shared definition of
+  /// MariaDB's TABLE_SHARE, of which every database copy is a handle.
+  struct Shared {
+    explicit Shared(Table t) : table(std::move(t)) {}
+    /// Fills the attribute sets below on the first call; thread-safe.
+    void ComputeAttributeSets() const;
+
+    const Table table;
+    mutable std::once_flag attrs_once;
+    mutable SymbolSet column_attrs;
+    mutable SymbolSet row_attrs;
+  };
+  using Slots = std::vector<std::shared_ptr<const Shared>>;
+  static const Table& TableOf(const std::shared_ptr<const Shared>& s) {
+    return s->table;
+  }
+  using TableView =
+      std::ranges::transform_view<std::ranges::ref_view<const Slots>,
+                                  decltype(&TableOf)>;
+
  public:
+  /// The tables, in insertion order: a random-access range of
+  /// `const Table&` whose `==` compares table contents.
+  class TableList : public TableView {
+   public:
+    explicit TableList(const Slots& slots)
+        : TableView(std::views::all(slots), &TableOf) {}
+    auto rbegin() const { return std::make_reverse_iterator(end()); }
+    auto rend() const { return std::make_reverse_iterator(begin()); }
+    friend bool operator==(const TableList& a, const TableList& b) {
+      return std::ranges::equal(a, b);
+    }
+  };
+
   TabularDatabase() = default;
 
   /// Adds a table (duplicates, including duplicate names, are allowed).
-  void Add(Table table) { tables_.push_back(std::move(table)); }
+  void Add(Table table) {
+    tables_.push_back(std::make_shared<const Shared>(std::move(table)));
+  }
 
   /// All tables, in insertion order.
-  const std::vector<Table>& tables() const { return tables_; }
+  TableList tables() const { return TableList(tables_); }
 
   size_t size() const { return tables_.size(); }
   bool empty() const { return tables_.empty(); }
+
+  /// The distinct column attributes τ⁰_{>0} of table `i`, and its distinct
+  /// row attributes τ_{>0}⁰. Computed on the first call for a table and
+  /// then shared by every database holding it; safe to call concurrently.
+  const SymbolSet& ColumnAttributeSet(size_t i) const;
+  const SymbolSet& RowAttributeSet(size_t i) const;
 
   /// Indices of the tables named `name`, in insertion order.
   std::vector<size_t> IndicesNamed(Symbol name) const;
@@ -51,7 +104,7 @@ class TabularDatabase {
   bool NameHasDataRows(Symbol name) const;
 
  private:
-  std::vector<Table> tables_;
+  Slots tables_;
 };
 
 }  // namespace tabular::core

@@ -2,7 +2,6 @@
 
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -14,7 +13,6 @@ namespace tabular::server {
 
 using analysis::AbstractDatabase;
 using analysis::CardInterval;
-using analysis::TableShape;
 
 namespace {
 
@@ -25,32 +23,6 @@ CardInterval Coarsen(const CardInterval& c) {
   if (c.hi == 0) return CardInterval::Exact(0);
   if (c.lo >= 1) return CardInterval::Range(1, CardInterval::kInf);
   return CardInterval::Top();
-}
-
-/// log₂ size class of a pool's data-row count: 0 for empty, otherwise
-/// floor(log₂ rows) + 1, so counts within one class differ by at most a
-/// factor of two.
-uint64_t RowBucket(uint64_t rows) {
-  uint64_t bucket = 0;
-  while (rows != 0) {
-    ++bucket;
-    rows >>= 1;
-  }
-  return bucket;
-}
-
-/// Pool names assigned anywhere in `stmts` (recursively through while
-/// bodies). Drop targets are excluded: a drop produces no rows, so its
-/// pool says nothing about the program's output size.
-void CollectWrittenPools(const std::vector<lang::Statement>& stmts,
-                         core::SymbolSet* pools, bool* universal) {
-  for (const lang::Statement& s : stmts) {
-    if (const auto* a = std::get_if<lang::Assignment>(&s.node)) {
-      analysis::CollectParamNames(a->target, pools, universal);
-    } else if (const auto* w = std::get_if<lang::WhileLoop>(&s.node)) {
-      CollectWrittenPools(w->body, pools, universal);
-    }
-  }
 }
 
 }  // namespace
@@ -66,25 +38,12 @@ AbstractDatabase CoarsenedSchema(const core::TabularDatabase& db) {
 }
 
 std::string SchemaFingerprint(const core::TabularDatabase& db) {
-  // The coarse classes carry analysis soundness (see CoarsenedSchema);
-  // the appended row-size bucket only splits cache entries so that the
-  // admission cost estimate attached to an entry is computed against a
-  // database within one doubling of every pool it is reused for.
-  const AbstractDatabase exact = AbstractDatabase::FromDatabase(db);
   std::string out;
-  for (const auto& [name, shape] : exact.tables) {
-    TableShape coarse = shape;
-    coarse.row_card = Coarsen(shape.row_card);
-    coarse.col_card = Coarsen(shape.col_card);
-    coarse.count = Coarsen(shape.count);
+  for (const auto& [name, shape] : CoarsenedSchema(db).tables) {
     out += name.ToString();
     out += '=';
-    out += coarse.ToString();
-    out += coarse.certain ? "!" : "?";
-    out += '#';
-    out += std::to_string(
-        RowBucket(CardInterval::SatMul(shape.count.hi, shape.row_card.hi)));
-    out += '\n';
+    out += shape.ToString();
+    out += shape.certain ? "!\n" : "?\n";
   }
   return out;
 }
@@ -124,17 +83,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
     compiled->optimized = lang::OptimizeProgram(
         compiled->parsed, coarse, opt, &compiled->optimize_stats);
   }
-
-  // Cost the final plan against the *exact* image of the compiling
-  // snapshot: the coarsened image's ≥1 row classes have no finite upper
-  // bound, so admission-grade estimates need the real shapes. Databases
-  // that reuse this entry match the compiling one per pool up to the
-  // fingerprint's row-size class (one doubling); the observed feedback on
-  // CompiledProgram covers the rest.
-  compiled->cost = analysis::EstimateCost(compiled->optimized,
-                                          AbstractDatabase::FromDatabase(db));
-  CollectWrittenPools(compiled->optimized.statements,
-                      &compiled->written_pools, &compiled->writes_all_pools);
   return compiled;
 }
 

@@ -1,8 +1,6 @@
 #ifndef TABULAR_SERVER_PROGRAM_CACHE_H_
 #define TABULAR_SERVER_PROGRAM_CACHE_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -12,12 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cost.h"
 #include "analysis/diagnostics.h"
 #include "analysis/shape.h"
 #include "core/database.h"
 #include "core/status.h"
-#include "core/symbol.h"
 #include "lang/ast.h"
 #include "lang/optimizer.h"
 
@@ -40,74 +36,7 @@ struct CompiledProgram {
   /// Analyzer warnings (errors land in `front_end`).
   std::vector<analysis::Diagnostic> warnings;
 
-  /// Static cost summary of `optimized` against the *exact* shapes of the
-  /// database that first compiled this entry (not the coarsened cache
-  /// image, whose [1,∞) row classes would make every estimate ∞). Later
-  /// databases sharing the fingerprint agree with the compiling one per
-  /// pool up to the fingerprint's row-size class (one doubling — see
-  /// `SchemaFingerprint`), and the observed feedback below corrects the
-  /// residual drift. Admission control is therefore a pure lookup on the
-  /// hot path.
-  analysis::CostReport cost;
-
-  /// Pool names the program assigns to (targets of assignment statements,
-  /// recursively through while bodies), collected from `optimized` at
-  /// compile time. `writes_all_pools` is set when some target is a
-  /// wildcard/pair parameter that can denote any name. The session loop
-  /// uses this to measure the program's *own* output after a run — the
-  /// observation fed back below must be commensurate with `cost.peak_rows`
-  /// (a per-written-pool bound), not the whole-database row total, which
-  /// would fold in resident tables the program never touched.
-  core::SymbolSet written_pools;
-  bool writes_all_pools = false;
-
-  /// Adaptive feedback: the largest per-written-pool data-row count (and
-  /// matching byte footprint) any successful run of this entry has
-  /// produced (0 = never run). Written lock-free by session threads after
-  /// execution, read by admission.
-  mutable std::atomic<uint64_t> observed_rows{0};
-  mutable std::atomic<uint64_t> observed_bytes{0};
-
-  void RecordObservedRows(uint64_t rows) const {
-    RecordMax(&observed_rows, rows);
-  }
-  void RecordObservedBytes(uint64_t bytes) const {
-    RecordMax(&observed_bytes, bytes);
-  }
-
-  /// The row bound admission compares against `--max-est-rows`: the static
-  /// peak, corrected by observation once the entry has run. Observation
-  /// can shrink an over-estimate (down to twice the largest observed run
-  /// — re-planning headroom) but never below what was actually seen, and
-  /// an unbounded static verdict is never overridden.
-  uint64_t EffectiveRowEstimate() const {
-    return Blend(cost.peak_rows,
-                 observed_rows.load(std::memory_order_relaxed));
-  }
-
-  /// Same blend for `--max-est-bytes` against the written-pool byte
-  /// footprint observed after each run.
-  uint64_t EffectiveByteEstimate() const {
-    return Blend(cost.peak_bytes,
-                 observed_bytes.load(std::memory_order_relaxed));
-  }
-
   const lang::Program& executable() const { return optimized; }
-
- private:
-  static void RecordMax(std::atomic<uint64_t>* slot, uint64_t v) {
-    uint64_t seen = slot->load(std::memory_order_relaxed);
-    while (v > seen &&
-           !slot->compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  static uint64_t Blend(uint64_t stat, uint64_t seen) {
-    if (stat == analysis::CardInterval::kInf) return stat;
-    if (seen == 0) return stat;
-    return std::max(
-        std::min(stat, analysis::CardInterval::SatMul(seen, 2)), seen);
-  }
 };
 
 /// The abstract image a cached compile is certified against: the exact
@@ -119,14 +48,10 @@ struct CompiledProgram {
 /// image are sound for every database that hits the cache entry.
 analysis::AbstractDatabase CoarsenedSchema(const core::TabularDatabase& db);
 
-/// Deterministic rendering of `CoarsenedSchema(db)` plus each pool's
-/// row-count size class (log₂ bucket) — the schema half of the cache key.
-/// Stable across runs (symbol order, not interning order). The size class
-/// keeps the cached cost estimate honest: databases sharing an entry can
-/// differ per pool by at most one doubling, so an admission estimate
-/// computed against the first-compiling database is stale by a bounded
-/// factor (and the observed feedback on `CompiledProgram` closes the
-/// rest).
+/// Deterministic rendering of `CoarsenedSchema(db)` — the schema half of
+/// the cache key, so an entry is shared by exactly the databases its
+/// compile is certified against. Stable across runs (symbol order, not
+/// interning order).
 std::string SchemaFingerprint(const core::TabularDatabase& db);
 
 /// Thread-safe LRU cache of compiled programs keyed by

@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,6 +15,8 @@
 
 #include <map>
 
+#include "analysis/cost.h"
+#include "analysis/shape.h"
 #include "io/grid_format.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -54,35 +55,6 @@ uint64_t TotalDataRows(const core::TabularDatabase& db) {
   uint64_t rows = 0;
   for (const core::Table& t : db.tables()) rows += t.height();
   return rows;
-}
-
-/// Peak data rows (and matching byte footprint) over the pools `p`
-/// writes, measured on the post-run database. This is the observation
-/// commensurate with `cost.peak_rows`/`peak_bytes` — both are
-/// per-written-pool bounds — unlike the whole-database row total, which
-/// would fold in resident tables the program never touched and, on any
-/// database larger than the admission limit, permanently reject every
-/// program after its first run.
-void ObservedWrittenPoolPeaks(const CompiledProgram& p,
-                              const core::TabularDatabase& db,
-                              uint64_t* peak_rows, uint64_t* peak_bytes) {
-  std::map<core::Symbol, std::pair<uint64_t, uint64_t>, core::SymbolLess>
-      pools;
-  for (const core::Table& t : db.tables()) {
-    if (!p.writes_all_pools && p.written_pools.count(t.name()) == 0) {
-      continue;
-    }
-    auto& [rows, bytes] = pools[t.name()];
-    rows += t.height();
-    bytes += static_cast<uint64_t>(t.height()) * t.width() *
-             analysis::kCostHandleBytes;
-  }
-  *peak_rows = 0;
-  *peak_bytes = 0;
-  for (const auto& [name, rb] : pools) {
-    *peak_rows = std::max(*peak_rows, rb.first);
-    *peak_bytes = std::max(*peak_bytes, rb.second);
-  }
 }
 
 /// Counter deltas across a profiled execution, as a JSON object keyed by
@@ -444,12 +416,11 @@ std::string Server::HandleRun(const std::string& payload,
   audit->rewrites_applied =
       static_cast<uint32_t>(compiled->optimize_stats.applied);
 
-  // Admission control: a pure lookup on the cached cost summary — no
-  // analysis runs on the hot path. Rejection happens before the private
-  // copy below, so an over-budget program costs the server nothing but
-  // the compile (which negative-caches like any other front-end verdict
-  // would not — admission is re-checked per request, since limits and
-  // observed-rows feedback both move).
+  // Admission control: cost the compiled form against the exact shapes of
+  // the pinned snapshot — the database it will run on, so the estimate
+  // cannot be stale. Rejection happens before execution, so an over-budget
+  // program costs the server nothing but the estimate (and the compile,
+  // which is cached: admission is re-checked per request).
   if (options_.max_est_rows > 0 || options_.max_est_bytes > 0) {
     static obs::Counter& admitted =
         obs::GetCounter("server.admission.admitted");
@@ -457,7 +428,9 @@ std::string Server::HandleRun(const std::string& payload,
         obs::GetCounter("server.admission.rejected");
     static obs::Counter& unbounded =
         obs::GetCounter("server.admission.unbounded");
-    const analysis::CostReport& cost = compiled->cost;
+    const analysis::CostReport cost = analysis::EstimateCost(
+        compiled->executable(),
+        analysis::AbstractDatabase::FromDatabase(*snap.db));
     if (cost.unbounded()) {
       unbounded.Add(1);
       rejected.Add(1);
@@ -465,29 +438,32 @@ std::string Server::HandleRun(const std::string& payload,
                    "statement " + cost.unbounded_path +
                        ": statically unbounded resource use");
     }
-    const uint64_t est_rows = compiled->EffectiveRowEstimate();
-    if (options_.max_est_rows > 0 && est_rows > options_.max_est_rows) {
+    if (options_.max_est_rows > 0 && cost.peak_rows > options_.max_est_rows) {
       rejected.Add(1);
       return error(StatusCode::kAdmissionRejected,
                    "statement " + cost.peak_rows_path + ": estimated rows " +
-                       analysis::FormatCost(est_rows) + " exceed limit " +
+                       analysis::FormatCost(cost.peak_rows) +
+                       " exceed limit " +
                        std::to_string(options_.max_est_rows));
     }
-    const uint64_t est_bytes = compiled->EffectiveByteEstimate();
-    if (options_.max_est_bytes > 0 && est_bytes > options_.max_est_bytes) {
+    if (options_.max_est_bytes > 0 &&
+        cost.peak_bytes > options_.max_est_bytes) {
       rejected.Add(1);
       return error(StatusCode::kAdmissionRejected,
                    "statement " + cost.peak_bytes_path +
                        ": estimated bytes " +
-                       analysis::FormatCost(est_bytes) + " exceed limit " +
+                       analysis::FormatCost(cost.peak_bytes) +
+                       " exceed limit " +
                        std::to_string(options_.max_est_bytes));
     }
     admitted.Add(1);
   }
 
-  // Execute against a private copy. The front end already ran (analysis
-  // and certified rewrites are part of the cached compile), so the
-  // interpreter runs the compiled form directly.
+  // Execute against a copy of the snapshot: it shares every table with
+  // the snapshot (pointer copies), and the interpreter only adds and
+  // removes whole tables, so the snapshot itself never changes. The front
+  // end already ran (analysis and certified rewrites are part of the
+  // cached compile), so the interpreter runs the compiled form directly.
   core::TabularDatabase work = *snap.db;
   lang::InterpreterOptions interp = options_.interp;
   interp.analyze_first = false;
@@ -517,15 +493,6 @@ std::string Server::HandleRun(const std::string& payload,
     resp.counters_json = CounterDeltaJson(counters_before);
   }
   audit->rows_out = TotalDataRows(work);
-  // Feed the run's true output size back into the cache entry: admission's
-  // effective estimates tighten toward observation (adaptive re-planning
-  // without recompiling). Measured over the pools the program writes, the
-  // same quantity the static peaks bound.
-  uint64_t observed_rows = 0;
-  uint64_t observed_bytes = 0;
-  ObservedWrittenPoolPeaks(*compiled, work, &observed_rows, &observed_bytes);
-  compiled->RecordObservedRows(observed_rows);
-  compiled->RecordObservedBytes(observed_bytes);
   if (req.want_dump) resp.dump = io::SerializeDatabase(work);
   if (req.commit) {
     Result<uint64_t> committed =

@@ -50,12 +50,12 @@ struct ServerOptions {
   /// ephemeral port (read it back with `metrics_port()`).
   int metrics_port = -1;
   /// Static admission control (0 = limit off). When either limit is set,
-  /// every Run request's cached cost summary is checked before execution:
-  /// a statically unbounded program, an effective row estimate above
-  /// `max_est_rows`, or a peak byte estimate above `max_est_bytes` is
-  /// rejected with `StatusCode::kAdmissionRejected` naming the offending
-  /// statement. The daemon maps `--max-est-rows` / `TABULAR_ADMIT_MAX_ROWS`
-  /// (and the `-bytes` pair) onto these.
+  /// every Run request's compiled form is costed against its pinned
+  /// snapshot before execution: a statically unbounded program, a peak row
+  /// estimate above `max_est_rows`, or a peak byte estimate above
+  /// `max_est_bytes` is rejected with `StatusCode::kAdmissionRejected`
+  /// naming the offending statement. The daemon maps `--max-est-rows` /
+  /// `TABULAR_ADMIT_MAX_ROWS` (and the `-bytes` pair) onto these.
   uint64_t max_est_rows = 0;
   uint64_t max_est_bytes = 0;
 };
@@ -82,10 +82,11 @@ struct ServerStats {
 /// programs under snapshot isolation (see `VersionedDatabase`) with a
 /// compiled-program cache (see `ProgramCache`). One thread per session;
 /// each request pins the newest version, executes the cached compiled form
-/// against a private copy, and — for commits — installs the result with an
-/// atomic first-committer-wins swap. Readers never wait on writers, and a
-/// failed program never publishes partial state: the version store only
-/// ever receives fully-executed databases.
+/// against a copy that shares the snapshot's immutable tables, and — for
+/// commits — installs the result with an atomic first-committer-wins swap.
+/// Readers never wait on writers, and a failed program never publishes
+/// partial state: the version store only ever receives fully-executed
+/// databases.
 class Server {
  public:
   /// Binds, listens, and spawns the accept thread.

@@ -27,7 +27,8 @@ struct Snapshot {
 /// store holds a pointer to the newest one. Readers pin a `Snapshot` and
 /// never block — `Current()` is a pointer copy under a mutex held for O(1)
 /// work, never across a writer's program execution. Writers execute against
-/// their own snapshot's copy and then `Commit` the result with
+/// a copy of their snapshot — which shares its immutable tables, so the copy
+/// costs one pointer per table — and then `Commit` the result with
 /// first-committer-wins optimistic concurrency: the swap succeeds only when
 /// the base version is still current, so commits serialize into a linear
 /// version history and a reader can never observe a half-applied program.

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "analysis/shape.h"
 #include "core/sales_data.h"
+#include "io/grid_format.h"
+#include "server/program_cache.h"
 #include "tests/test_util.h"
 
 namespace tabular::core {
@@ -77,6 +86,90 @@ TEST(DatabaseTest, TablesMayBeNamedNull) {
   db.Add(anonymous);
   EXPECT_TRUE(db.HasTableNamed(Symbol::Null()));
   EXPECT_EQ(db.Named(Symbol::Null()).size(), 1u);
+}
+
+// -- Shared immutable tables -------------------------------------------------
+
+TEST(DatabaseTest, CopiesShareTheirTables) {
+  const TabularDatabase db = fixtures::SalesInfo1(true);
+  const TabularDatabase copy = db;
+  ASSERT_EQ(copy.size(), db.size());
+  for (size_t i = 0; i < db.size(); ++i) {
+    EXPECT_EQ(&copy.tables()[i], &db.tables()[i]) << "table " << i;
+  }
+}
+
+TEST(DatabaseTest, EditingACopyLeavesTheOriginalUnchanged) {
+  const TabularDatabase db = fixtures::SalesInfo1(true);
+  const std::string before = io::SerializeDatabase(db);
+  TabularDatabase copy = db;
+  EXPECT_EQ(copy.RemoveNamed(N("Sales")), 1u);
+  copy.Add(Table::Parse({{"!Sales", "!Part"}, {"#", "nuts"}}));
+  EXPECT_EQ(io::SerializeDatabase(db), before);
+  EXPECT_NE(io::SerializeDatabase(copy), before);
+}
+
+TEST(DatabaseTest, TableListsCompareContentsNotAddresses) {
+  const TabularDatabase a = fixtures::SalesInfo4(true);
+  const TabularDatabase b = fixtures::SalesInfo4(true);
+  ASSERT_NE(&a.tables()[0], &b.tables()[0]);
+  EXPECT_TRUE(a.tables() == b.tables());
+  EXPECT_FALSE(a.tables() == fixtures::SalesInfo4(false).tables());
+  TabularDatabase reordered;
+  for (size_t i = b.size(); i-- > 0;) reordered.Add(b.tables()[i]);
+  EXPECT_FALSE(a.tables() == reordered.tables());
+}
+
+TEST(DatabaseTest, ShapesOfAnEditedCopyMatchAFreshlyLoadedDatabase) {
+  const TabularDatabase db = fixtures::SalesInfo1(true);
+  // Fill the shared tables' attribute sets before the copy is edited.
+  const analysis::AbstractDatabase original =
+      analysis::AbstractDatabase::FromDatabase(db);
+  TabularDatabase copy = db;
+  copy.RemoveNamed(N("GrandTotal"));
+  copy.Add(fixtures::SalesInfo3Table(true));
+
+  const TabularDatabase loaded = fixtures::SalesInfo1(true);
+  TabularDatabase fresh;
+  for (const Table& t : loaded.tables()) {
+    if (t.name() != N("GrandTotal")) fresh.Add(t);
+  }
+  fresh.Add(fixtures::SalesInfo3Table(true));
+  EXPECT_EQ(analysis::AbstractDatabase::FromDatabase(copy),
+            analysis::AbstractDatabase::FromDatabase(fresh));
+  EXPECT_EQ(server::SchemaFingerprint(copy), server::SchemaFingerprint(fresh));
+  EXPECT_EQ(analysis::AbstractDatabase::FromDatabase(db), original);
+}
+
+TEST(DatabaseTest, ConcurrentShapeReadsOfOneSnapshotAgree) {
+  // The attribute sets are filled lazily on first use; eight readers race
+  // to be first on a snapshot nobody has read yet.
+  TabularDatabase db = fixtures::SalesInfo1(true);
+  db.Add(fixtures::SalesInfo3Table(true));
+  const auto snapshot = std::make_shared<const TabularDatabase>(std::move(db));
+  constexpr int kThreads = 8;
+  std::vector<analysis::AbstractDatabase> shapes(kThreads);
+  std::vector<std::string> fingerprints(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kThreads; ++i) {
+    readers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      shapes[i] = analysis::AbstractDatabase::FromDatabase(*snapshot);
+      fingerprints[i] = server::SchemaFingerprint(*snapshot);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  TabularDatabase fresh = fixtures::SalesInfo1(true);
+  fresh.Add(fixtures::SalesInfo3Table(true));
+  const analysis::AbstractDatabase want =
+      analysis::AbstractDatabase::FromDatabase(fresh);
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(shapes[i], want) << "reader " << i;
+    EXPECT_EQ(fingerprints[i], server::SchemaFingerprint(fresh))
+        << "reader " << i;
+  }
 }
 
 }  // namespace

@@ -109,8 +109,8 @@ TEST(VersionedDatabaseTest, PinnedSnapshotsOutliveNewerCommits) {
 // -- Cache keying ------------------------------------------------------------
 
 TEST(SchemaFingerprintTest, RowContentDoesNotChangeTheFingerprint) {
-  // Same columns, different data rows within one log2 size class (2 and 3
-  // rows): one coarsened class, one bucket, one fingerprint.
+  // Same columns, different data rows (2 and 3 rows): one coarsened
+  // class, one fingerprint.
   const std::string fp2 = SchemaFingerprint(Db(kSalesFlat));
   const std::string fp3 = SchemaFingerprint(
       Db("!Sales | !Part  | !Region | !Sold\n"
@@ -120,19 +120,23 @@ TEST(SchemaFingerprintTest, RowContentDoesNotChangeTheFingerprint) {
   EXPECT_EQ(fp2, fp3);
 }
 
-TEST(SchemaFingerprintTest, CrossingARowSizeClassRekeys) {
-  // 2 rows and 4 rows land in different log2 buckets: the entry's cached
-  // cost report is only reused for databases within one doubling of the
-  // compiling one, so a much larger database gets a fresh, honest
-  // estimate instead of the stale small one.
-  const std::string fp2 = SchemaFingerprint(Db(kSalesFlat));
-  const std::string fp4 = SchemaFingerprint(
+TEST(SchemaFingerprintTest, RowCountsInOneCoarseClassShareACacheEntry) {
+  // 2 rows and 4 rows both coarsen to ≥1: the compile is certified against
+  // the same image, so the entry is reused however far the row count
+  // drifts. Admission costs each request against its own snapshot, so a
+  // reused entry never carries a stale estimate.
+  const core::TabularDatabase four =
       Db("!Sales | !Part  | !Region | !Sold\n"
          "#      | nuts   | east    | 50\n"
          "#      | bolts  | west    | 60\n"
          "#      | screws | north   | 70\n"
-         "#      | nails  | south   | 80\n"));
-  EXPECT_NE(fp2, fp4);
+         "#      | nails  | south   | 80\n");
+  EXPECT_EQ(SchemaFingerprint(Db(kSalesFlat)), SchemaFingerprint(four));
+  ProgramCache cache;
+  cache.Get("T <- project {Part} (Sales);", Db(kSalesFlat));
+  bool hit = false;
+  cache.Get("T <- project {Part} (Sales);", four, &hit);
+  EXPECT_TRUE(hit);
 }
 
 TEST(SchemaFingerprintTest, EmptyAndNonemptyTablesDiffer) {
@@ -474,9 +478,9 @@ TEST(ServerAdmissionTest, RejectionIsServedFromTheCompiledProgramCache) {
   EXPECT_EQ(live.server->cache().misses(), 1u);
 }
 
-TEST(ServerAdmissionTest, ObservedRowsFeedTheNextAdmissionDecision) {
+TEST(ServerAdmissionTest, EachRequestIsCostedAgainstItsOwnSnapshot) {
   // Sales (2 rows) × Tags (2 rows), plus a one-row Extra used to grow Tags
-  // in place without leaving its fingerprint size class.
+  // without leaving its coarse schema class.
   LiveServer live{Db("!Sales | !Part  | !Region | !Sold\n"
                      "#      | nuts   | east    | 50\n"
                      "#      | bolts  | west    | 60\n"
@@ -490,28 +494,23 @@ TEST(ServerAdmissionTest, ObservedRowsFeedTheNextAdmissionDecision) {
                   Admit(/*max_rows=*/5)};
   Client client = live.Connect();
   const std::string program = "Big <- product (Sales, Tags);";
-  // Static peak: Big = 2 × 2 = 4 rows ≤ 5 — admitted. The run feeds back
-  // Big's observed 4 rows (the pool the program writes — NOT the
-  // whole-database total, which would poison admission with resident
-  // tables the program never touched).
+  // Big = 2 × 2 = 4 rows ≤ 5 — admitted.
   auto first = client.Run(program, /*commit=*/false);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // Grow Tags to 3 rows. Same log2 size class as 2, so the cached entry —
-  // and its now-optimistic static estimate of 4 — is reused as-is.
+  // Grow Tags to 3 rows. The schema stays in one coarse class, so the
+  // cached compile is reused...
   auto grow = client.Run("Tags <- union (Tags, Extra);");
   ASSERT_TRUE(grow.ok()) << grow.status().ToString();
-  // The stale estimate (4 ≤ 5) admits the bigger product once more...
+  const uint64_t hits_before = live.server->cache().hits();
+  // ...but the estimate is made against the grown snapshot: 2 × 3 = 6
+  // rows exceed the limit, and the product is refused before it runs.
   auto second = client.Run(program, /*commit=*/false);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(second->cache_hit);
-  // ...but its observed 6-row output overrides the optimistic static
-  // bound: the next run is refused without executing.
-  auto third = client.Run(program, /*commit=*/false);
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kAdmissionRejected);
-  EXPECT_NE(third.status().message().find("exceed limit 5"),
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kAdmissionRejected);
+  EXPECT_NE(second.status().message().find("estimated rows 6 exceed limit 5"),
             std::string::npos)
-      << third.status().ToString();
+      << second.status().ToString();
+  EXPECT_EQ(live.server->cache().hits(), hits_before + 1);
 }
 
 TEST(ServerAdmissionTest, ResidentRowsOutsideTheProgramNeverCountAgainstIt) {
@@ -540,49 +539,6 @@ TEST(ServerAdmissionTest, ResidentRowsOutsideTheProgramNeverCountAgainstIt) {
     ASSERT_TRUE(run.ok()) << "run " << i << ": " << run.status().ToString();
   }
   EXPECT_EQ(admitted.Value(), admitted_before + 3);
-}
-
-TEST(ProgramCacheTest, EffectiveRowEstimateBlendsStaticAndObserved) {
-  CompiledProgram p;
-  p.cost.peak_rows = 1000;
-  EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);  // never run: static bound
-  p.RecordObservedRows(10);
-  EXPECT_EQ(p.EffectiveRowEstimate(), 20u);  // 2x headroom over observed
-  p.RecordObservedRows(6);                   // smaller runs never regress it
-  EXPECT_EQ(p.EffectiveRowEstimate(), 20u);
-  p.RecordObservedRows(600);
-  EXPECT_EQ(p.EffectiveRowEstimate(), 1000u);  // capped at the static bound
-  p.RecordObservedRows(4000);  // observed above static: trust observation
-  EXPECT_EQ(p.EffectiveRowEstimate(), 4000u);
-
-  CompiledProgram unbounded;
-  unbounded.cost.peak_rows = analysis::CardInterval::kInf;
-  unbounded.RecordObservedRows(10);
-  // An unbounded static verdict is never overridden by a finite run.
-  EXPECT_EQ(unbounded.EffectiveRowEstimate(), analysis::CardInterval::kInf);
-}
-
-TEST(ProgramCacheTest, EffectiveByteEstimateBlendsStaticAndObserved) {
-  CompiledProgram p;
-  p.cost.peak_bytes = 4000;
-  EXPECT_EQ(p.EffectiveByteEstimate(), 4000u);  // never run: static bound
-  p.RecordObservedBytes(100);
-  EXPECT_EQ(p.EffectiveByteEstimate(), 200u);  // 2x headroom over observed
-  p.RecordObservedBytes(8000);  // observed above static: trust observation
-  EXPECT_EQ(p.EffectiveByteEstimate(), 8000u);
-}
-
-TEST(ProgramCacheTest, CompiledEntriesKnowTheirWrittenPools) {
-  ProgramCache cache;
-  auto entry = cache.Get(
-      "T <- project {Part} (Sales);\n"
-      "U <- transpose (T);",
-      Db(kSalesFlat));
-  ASSERT_NE(entry, nullptr);
-  ASSERT_TRUE(entry->front_end.ok()) << entry->front_end.ToString();
-  EXPECT_FALSE(entry->writes_all_pools);
-  EXPECT_EQ(entry->written_pools.count(core::Symbol::Name("T")), 1u);
-  EXPECT_EQ(entry->written_pools.count(core::Symbol::Name("Sales")), 0u);
 }
 
 // -- Byte identity with the single-shot interpreter --------------------------
