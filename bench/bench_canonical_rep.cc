@@ -9,20 +9,11 @@
 #include "bench_util.h"
 #include "core/compare.h"
 #include "core/sales_data.h"
-#include "exec/parallel.h"
 #include "relational/canonical.h"
 
 namespace {
 
 using tabular::core::TabularDatabase;
-
-bool SameTables(const TabularDatabase& a, const TabularDatabase& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!(a.tables()[i] == b.tables()[i])) return false;
-  }
-  return true;
-}
 
 TabularDatabase SyntheticDb(size_t tables, size_t parts, size_t regions) {
   TabularDatabase db;
@@ -32,27 +23,12 @@ TabularDatabase SyntheticDb(size_t tables, size_t parts, size_t regions) {
   return db;
 }
 
-// Serial-vs-parallel sweep: the trailing arg is the kernel thread count.
-// With threads > 1 the first iteration also cross-checks that the parallel
-// representation is identical to the serial one.
 void BM_CanonicalEncode(benchmark::State& state) {
   TabularDatabase db =
       SyntheticDb(static_cast<size_t>(state.range(0)),
                   static_cast<size_t>(state.range(1)), 8);
-  const size_t threads = static_cast<size_t>(state.range(2));
   size_t cells = 0;
   for (const auto& t : db.tables()) cells += t.num_rows() * t.num_cols();
-  if (threads > 1) {
-    tabular::exec::ScopedThreads serial(1);
-    auto want = tabular::rel::CanonicalEncode(db);
-    tabular::exec::ScopedThreads parallel(threads);
-    auto got = tabular::rel::CanonicalEncode(db);
-    if (!want.ok() || !got.ok() || !(*want == *got)) {
-      state.SkipWithError("parallel encode differs from serial");
-      return;
-    }
-  }
-  tabular::exec::ScopedThreads st(threads);
   for (auto _ : state) {
     auto rep = tabular::rel::CanonicalEncode(db);
     if (!rep.ok()) state.SkipWithError(rep.status().ToString().c_str());
@@ -62,37 +38,22 @@ void BM_CanonicalEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cells);
 }
 BENCHMARK(BM_CanonicalEncode)
-    ->ArgNames({"tables", "parts", "threads"})
-    ->Args({1, 16, 1})
-    ->Args({1, 64, 1})
-    ->Args({1, 256, 1})
-    ->Args({4, 64, 1})
-    ->Args({16, 64, 1})
-    ->Args({16, 64, 2})
-    ->Args({16, 64, 4})
-    ->Args({16, 64, 8});
+    ->ArgNames({"tables", "parts"})
+    ->Args({1, 16})
+    ->Args({1, 64})
+    ->Args({1, 256})
+    ->Args({4, 64})
+    ->Args({16, 64});
 
 void BM_CanonicalDecode(benchmark::State& state) {
   TabularDatabase db =
       SyntheticDb(static_cast<size_t>(state.range(0)),
                   static_cast<size_t>(state.range(1)), 8);
-  const size_t threads = static_cast<size_t>(state.range(2));
   auto rep = tabular::rel::CanonicalEncode(db);
   if (!rep.ok()) {
     state.SkipWithError(rep.status().ToString().c_str());
     return;
   }
-  if (threads > 1) {
-    tabular::exec::ScopedThreads serial(1);
-    auto want = tabular::rel::CanonicalDecode(*rep);
-    tabular::exec::ScopedThreads parallel(threads);
-    auto got = tabular::rel::CanonicalDecode(*rep);
-    if (!want.ok() || !got.ok() || !SameTables(*want, *got)) {
-      state.SkipWithError("parallel decode differs from serial");
-      return;
-    }
-  }
-  tabular::exec::ScopedThreads st(threads);
   for (auto _ : state) {
     auto back = tabular::rel::CanonicalDecode(*rep);
     if (!back.ok()) state.SkipWithError(back.status().ToString().c_str());
@@ -104,15 +65,12 @@ void BM_CanonicalDecode(benchmark::State& state) {
       state.iterations() * rep->Get(tabular::rel::RepDataName())->size());
 }
 BENCHMARK(BM_CanonicalDecode)
-    ->ArgNames({"tables", "parts", "threads"})
-    ->Args({1, 16, 1})
-    ->Args({1, 64, 1})
-    ->Args({1, 256, 1})
-    ->Args({4, 64, 1})
-    ->Args({16, 64, 1})
-    ->Args({16, 64, 2})
-    ->Args({16, 64, 4})
-    ->Args({16, 64, 8});
+    ->ArgNames({"tables", "parts"})
+    ->Args({1, 16})
+    ->Args({1, 64})
+    ->Args({1, 256})
+    ->Args({4, 64})
+    ->Args({16, 64});
 
 void BM_CanonicalRoundTripWithVerify(benchmark::State& state) {
   TabularDatabase db = SyntheticDb(1, static_cast<size_t>(state.range(0)), 8);

@@ -10,7 +10,6 @@
 #include "algebra/ops.h"
 #include "bench_util.h"
 #include "core/sales_data.h"
-#include "exec/parallel.h"
 
 namespace {
 
@@ -19,32 +18,14 @@ using tabular::core::Table;
 
 Symbol S(const char* s) { return Symbol::Name(s); }
 
-// Serial-vs-parallel sweep: the trailing arg is the kernel thread count.
-// With threads > 1 the first iteration also cross-checks that the parallel
-// output is byte-identical to the serial one.
 void BM_GroupByRegionOnSold(benchmark::State& state) {
   const size_t parts = static_cast<size_t>(state.range(0));
   const size_t regions = static_cast<size_t>(state.range(1));
-  const size_t threads = static_cast<size_t>(state.range(2));
   Table flat = tabular::fixtures::SyntheticSales(parts, regions);
-  if (threads > 1) {
-    tabular::exec::ScopedThreads serial(1);
-    auto want = tabular::algebra::Group(flat, {S("Region")}, {S("Sold")},
-                                        S("Sales"));
-    tabular::exec::ScopedThreads parallel(threads);
-    auto got = tabular::algebra::Group(flat, {S("Region")}, {S("Sold")},
-                                       S("Sales"));
-    if (!want.ok() || !got.ok() || !(*want == *got)) {
-      state.SkipWithError("parallel Group output differs from serial");
-      return;
-    }
-  }
-  tabular::exec::ScopedThreads st(threads);
   tabular::bench::CounterDeltas deltas(
       state, {{"ta_calls", "algebra.group.calls"},
               {"ta_rows_in", "algebra.group.rows_in"},
-              {"ta_rows_out", "algebra.group.rows_out"},
-              {"par_forks", "exec.parallel.forks"}});
+              {"ta_rows_out", "algebra.group.rows_out"}});
   for (auto _ : state) {
     auto r = tabular::algebra::Group(flat, {S("Region")}, {S("Sold")},
                                      S("Sales"));
@@ -57,16 +38,13 @@ void BM_GroupByRegionOnSold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flat.height());
 }
 BENCHMARK(BM_GroupByRegionOnSold)
-    ->ArgNames({"parts", "regions", "threads"})
-    ->Args({4, 4, 1})
-    ->Args({8, 8, 1})
-    ->Args({16, 8, 1})
-    ->Args({32, 8, 1})
-    ->Args({64, 8, 1})
-    ->Args({128, 8, 1})
-    ->Args({128, 8, 2})
-    ->Args({128, 8, 4})
-    ->Args({128, 8, 8});
+    ->ArgNames({"parts", "regions"})
+    ->Args({4, 4})
+    ->Args({8, 8})
+    ->Args({16, 8})
+    ->Args({32, 8})
+    ->Args({64, 8})
+    ->Args({128, 8});
 
 void BM_GroupThenCleanUp(benchmark::State& state) {
   const size_t parts = static_cast<size_t>(state.range(0));

@@ -8,7 +8,6 @@
 #include "algebra/ops.h"
 #include "bench_util.h"
 #include "core/sales_data.h"
-#include "exec/parallel.h"
 #include "olap/pivot.h"
 #include "relational/canonical.h"
 
@@ -28,32 +27,14 @@ Table PivotedSales(size_t parts, size_t regions) {
   return *pivot;
 }
 
-// Serial-vs-parallel sweep: the trailing arg is the kernel thread count.
-// With threads > 1 the first iteration also cross-checks that the parallel
-// output is byte-identical to the serial one.
 void BM_MergeOnSoldByRegion(benchmark::State& state) {
   const size_t parts = static_cast<size_t>(state.range(0));
   const size_t regions = static_cast<size_t>(state.range(1));
-  const size_t threads = static_cast<size_t>(state.range(2));
   Table pivoted = PivotedSales(parts, regions);
-  if (threads > 1) {
-    tabular::exec::ScopedThreads serial(1);
-    auto want = tabular::algebra::Merge(pivoted, {S("Sold")}, {S("Region")},
-                                        S("Sales"));
-    tabular::exec::ScopedThreads parallel(threads);
-    auto got = tabular::algebra::Merge(pivoted, {S("Sold")}, {S("Region")},
-                                       S("Sales"));
-    if (!want.ok() || !got.ok() || !(*want == *got)) {
-      state.SkipWithError("parallel Merge output differs from serial");
-      return;
-    }
-  }
-  tabular::exec::ScopedThreads st(threads);
   tabular::bench::CounterDeltas deltas(
       state, {{"ta_calls", "algebra.merge.calls"},
               {"ta_rows_in", "algebra.merge.rows_in"},
-              {"ta_rows_out", "algebra.merge.rows_out"},
-              {"par_forks", "exec.parallel.forks"}});
+              {"ta_rows_out", "algebra.merge.rows_out"}});
   for (auto _ : state) {
     auto r = tabular::algebra::Merge(pivoted, {S("Sold")}, {S("Region")},
                                      S("Sales"));
@@ -66,16 +47,13 @@ void BM_MergeOnSoldByRegion(benchmark::State& state) {
                           regions);
 }
 BENCHMARK(BM_MergeOnSoldByRegion)
-    ->ArgNames({"parts", "regions", "threads"})
-    ->Args({16, 4, 1})
-    ->Args({16, 16, 1})
-    ->Args({16, 64, 1})
-    ->Args({16, 256, 1})
-    ->Args({256, 16, 1})
-    ->Args({1024, 16, 1})
-    ->Args({1024, 16, 2})
-    ->Args({1024, 16, 4})
-    ->Args({1024, 16, 8});
+    ->ArgNames({"parts", "regions"})
+    ->Args({16, 4})
+    ->Args({16, 16})
+    ->Args({16, 64})
+    ->Args({16, 256})
+    ->Args({256, 16})
+    ->Args({1024, 16});
 
 // Merge inverts group (up to the ⊥-padded tuples): the round trip.
 void BM_GroupMergeRoundTrip(benchmark::State& state) {

@@ -22,7 +22,7 @@ if [ ! -f "${BUILD_DIR}/compile_commands.json" ]; then
 fi
 
 # Library + tool translation units; per-directory .clang-tidy files pick
-# the check set (src/obs and src/exec add concurrency-mt-unsafe).
+# the check set (src/obs adds concurrency-mt-unsafe).
 FILES=$(find src tools -name '*.cc' | sort)
 
 if command -v run-clang-tidy >/dev/null 2>&1; then

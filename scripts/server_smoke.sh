@@ -10,6 +10,8 @@
 #   5. Restart with admission control (TABULAR_ADMIT_MAX_ROWS): the same
 #      restructuring program — statically unbounded through MERGE — must
 #      now be refused before execution, while a bounded program still runs.
+#   6. Every malformed numeric flag or variable stops tabulard at startup
+#      with exit 2 and an error naming it.
 #
 # Usage: scripts/server_smoke.sh <build-dir>
 
@@ -109,22 +111,35 @@ wait "$DAEMON_PID" || WAIT_STATUS=$?
 [ "$WAIT_STATUS" -eq 0 ] || fail "admission tabulard exited $WAIT_STATUS on SIGTERM"
 DAEMON_PID=""
 
-# 6. A misconfigured admission limit fails loudly instead of silently
-# disabling the safety rail (strtoull of garbage would yield 0 = off).
-if TABULAR_ADMIT_MAX_ROWS=notanumber \
-    "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet 2> "$WORK/bad.err"; then
-  fail "tabulard started with TABULAR_ADMIT_MAX_ROWS=notanumber"
-fi
-grep -q "TABULAR_ADMIT_MAX_ROWS" "$WORK/bad.err" \
-  || fail "bad admission limit did not name the variable: $(cat "$WORK/bad.err")"
-if "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet \
-    --max-est-rows 10x 2> "$WORK/bad2.err"; then
-  fail "tabulard started with --max-est-rows 10x"
-fi
-grep -q "max-est-rows" "$WORK/bad2.err" \
-  || fail "bad --max-est-rows did not name the flag: $(cat "$WORK/bad2.err")"
+# 6. A malformed numeric flag or variable fails loudly (exit 2, naming it)
+# instead of silently becoming 0 or wrapping: strtoull of garbage would
+# turn an admission limit off, refuse every session (--max-sessions abc) or
+# log every request (--slow-ms x), and port 70000 would bind 4464.
+BAD_START=(timeout 10 "$DAEMON_BIN" --db "$DB" --unix "$WORK/bad.sock" --quiet)
+refused() {  # refused <name the error must contain> <command...>
+  local name="$1"
+  shift
+  local status=0
+  "$@" 2> "$WORK/bad.err" || status=$?
+  [ "$status" -eq 2 ] || fail "'$*' exited $status, want 2"
+  grep -q -- "$name" "$WORK/bad.err" \
+    || fail "'$*' did not name $name: $(cat "$WORK/bad.err")"
+}
+refused TABULAR_ADMIT_MAX_ROWS env TABULAR_ADMIT_MAX_ROWS=notanumber "${BAD_START[@]}"
+refused TABULAR_SLOW_MS env TABULAR_SLOW_MS=x "${BAD_START[@]}"
+refused --max-est-rows "${BAD_START[@]}" --max-est-rows 10x
+refused --max-est-bytes "${BAD_START[@]}" --max-est-bytes -1
+refused --cache-capacity "${BAD_START[@]}" --cache-capacity 12abc
+refused --max-sessions "${BAD_START[@]}" --max-sessions abc
+refused --max-sessions "${BAD_START[@]}" --max-sessions 0
+refused --drain-seconds "${BAD_START[@]}" --drain-seconds soon
+refused --drain-seconds "${BAD_START[@]}" --drain-seconds -1
+refused --slow-ms "${BAD_START[@]}" --slow-ms x
+refused --metrics-port "${BAD_START[@]}" --metrics-port 70000
+refused --listen "${BAD_START[@]}" --listen 127.0.0.1:70000
+refused --listen "${BAD_START[@]}" --listen 127.0.0.1:http
 
 rm -rf "$WORK"
 echo "server_smoke: OK: server output byte-identical to single-shot golden," \
      "graceful shutdown exited 0, admission rejected the unbounded program," \
-     "misconfigured limits refused at startup"
+     "malformed numeric flags refused at startup"

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "algebra/traditional.h"
-#include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -113,34 +112,28 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
   }
   std::vector<const core::Column*> b_src(block);
   for (size_t c = 0; c < block; ++c) b_src[c] = &rho.DataColumn(b_cols[c]);
-  // Morsels over input rows: every output column belongs to exactly one
-  // input row, so ranges touch disjoint columns and the result is
-  // byte-identical to the serial path at any thread count.
-  const size_t min_rows = 1 + exec::kDefaultSerialCutoff / (a_n + block + 1);
   const bool single_chunk = a_n + m <= core::Column::kChunkSize;
-  exec::ParallelFor(m, min_rows, [&](size_t begin, size_t end) {
-    SymbolVec a_vals(a_n);
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t a = 0; a < a_n; ++a) a_vals[a] = a_src[a]->Get(i);
-      for (size_t c = 0; c < block; ++c) {
-        core::Column& col = data[kept.size() + i * block + c];
-        col.ResizeNull(a_n + m);
-        if (single_chunk) {
-          // The whole column is one chunk: materialize it once (all-⊥)
-          // and store the 𝒜-header and diagonal cell directly, skipping
-          // per-cell Set dispatch on this sharded-ingest hot path (⊥
-          // stores are no-ops on the fresh chunk, so no null checks).
-          Symbol* p = col.MutableChunkData(0);
-          for (size_t a = 0; a < a_n; ++a) p[a] = a_vals[a];
-          p[a_n + i] = b_src[c]->Get(i);
-        } else {
-          for (size_t a = 0; a < a_n; ++a) col.Set(a, a_vals[a]);
-          col.Set(a_n + i, b_src[c]->Get(i));
-        }
-        col_attrs[kept.size() + i * block + c] = rho.at(0, b_cols[c]);
+  SymbolVec a_vals(a_n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t a = 0; a < a_n; ++a) a_vals[a] = a_src[a]->Get(i);
+    for (size_t c = 0; c < block; ++c) {
+      core::Column& col = data[kept.size() + i * block + c];
+      col.ResizeNull(a_n + m);
+      if (single_chunk) {
+        // The whole column is one chunk: materialize it once (all-⊥)
+        // and store the 𝒜-header and diagonal cell directly, skipping
+        // per-cell Set dispatch on this sharded-ingest hot path (⊥
+        // stores are no-ops on the fresh chunk, so no null checks).
+        Symbol* p = col.MutableChunkData(0);
+        for (size_t a = 0; a < a_n; ++a) p[a] = a_vals[a];
+        p[a_n + i] = b_src[c]->Get(i);
+      } else {
+        for (size_t a = 0; a < a_n; ++a) col.Set(a, a_vals[a]);
+        col.Set(a_n + i, b_src[c]->Get(i));
       }
+      col_attrs[kept.size() + i * block + c] = rho.at(0, b_cols[c]);
     }
-  });
+  }
   Table out = Table::FromColumns(result_name, std::move(col_attrs),
                                  std::move(row_attrs), std::move(data));
   static obs::OpCounters counters("algebra.group");
@@ -197,8 +190,8 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
 
   // Cross product over the 𝒜-row choices (usually a single combination).
   // Combination index c decodes to choice[a] = (c / stride[a]) % |a_rows[a]|
-  // with the first attribute varying fastest, matching the serial
-  // odometer's emission order.
+  // with the first attribute varying fastest, matching an odometer's
+  // emission order.
   size_t ncombos = 1;
   std::vector<size_t> stride(a_n, 1);
   for (size_t a = 0; a < a_n; ++a) {
@@ -226,9 +219,7 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
   // i outer, k middle, choices inner. Built column-at-a-time (DESIGN.md
   // §11): each output column only ever reads a handful of source columns,
   // so the fills below are tight chunk-append loops instead of per-row
-  // cell scatter. Morsels hand whole columns to the pool — columns are
-  // independent, so the partition is race-free and byte-identical to the
-  // serial path at any thread count.
+  // cell scatter.
   SymbolVec col_attrs;
   col_attrs.reserve(kept.size() + a_n + b_n);
   for (size_t k : kept) col_attrs.push_back(rho.at(0, k));
@@ -263,130 +254,128 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
   }
 
   std::vector<core::Column> data(col_attrs.size());
-  exec::ParallelFor(data.size(), 1, [&](size_t cbegin, size_t cend) {
-    std::vector<Symbol> pattern(per_src);
-    // Fills are staged in a scratch buffer written by index (the compiler
-    // turns the inner loops into splat/interleave stores) and flushed with
-    // one AppendSpan per ~kChunkSize cells.
-    const size_t rows_per_flush =
-        std::max<size_t>(1, core::Column::kChunkSize / per_src);
-    std::vector<Symbol> buf(rows_per_flush * per_src);
-    for (size_t c = cbegin; c < cend; ++c) {
-      core::Column& col = data[c];
-      if (c < kept.size()) {
-        // Kept column: each surviving source row's value, per_src times.
-        // One pass gathers the source values (an all-⊥ column then stays
-        // fully lazy), a second streams the repeated fills.
-        const core::Column& from = rho.DataColumn(kept[c]);
-        uint32_t any = 0;
-        std::vector<Symbol> vals;
-        vals.reserve(src.size());
-        for (size_t i : src) {
-          const Symbol v = from.Get(i - 1);
-          any |= v.raw_id();
-          vals.push_back(v);
-        }
-        if (any == 0) {
-          col.AppendNulls(out_rows);
-          continue;
-        }
-        size_t w = 0;
-        for (Symbol v : vals) {
-          std::fill_n(buf.data() + w, per_src, v);
-          w += per_src;
-          if (w + per_src > buf.size()) {
-            col.AppendSpan(buf.data(), w);
-            w = 0;
-          }
-        }
-        if (w > 0) col.AppendSpan(buf.data(), w);
-      } else if (c < kept.size() + a_n) {
-        // 𝒜-column: the (block, combo) → value pattern is independent of
-        // the source row, so precompute one per_src-cell tile, widen it to
-        // a chunk, and replay it with bulk appends.
-        const size_t a = c - kept.size();
-        bool all_null = true;
-        for (size_t k = 0; k < nblocks; ++k) {
-          for (size_t combo = 0; combo < ncombos; ++combo) {
-            const size_t src_row =
-                a_rows[a][(combo / stride[a]) % a_rows[a].size()];
-            Symbol v = block_first[k] == kNoColumn
-                           ? Symbol::Null()
-                           : rho.at(src_row, block_first[k]);
-            pattern[k * ncombos + combo] = v;
-            all_null = all_null && v.is_null();
-          }
-        }
-        if (all_null) {
-          col.AppendNulls(out_rows);
-          continue;
-        }
-        for (size_t r = 0; r < rows_per_flush; ++r) {
-          std::copy(pattern.begin(), pattern.end(),
-                    buf.begin() + r * per_src);
-        }
-        size_t remaining = src.size();
-        while (remaining >= rows_per_flush) {
-          col.AppendSpan(buf.data(), rows_per_flush * per_src);
-          remaining -= rows_per_flush;
-        }
-        if (remaining > 0) col.AppendSpan(buf.data(), remaining * per_src);
-      } else {
-        // ℬ-column: block k reads the k-th occurrence of this attribute
-        // (⊥ past its last occurrence); each value spans the ncombos
-        // 𝒜-choices. Consecutive source rows inside one source chunk are
-        // processed as a run off raw chunk pointers, skipping the per-cell
-        // chunk resolution of Get on the 10M-cell path.
-        const size_t b = c - kept.size() - a_n;
-        std::vector<const core::Column*> occ_cols(nblocks, nullptr);
-        for (size_t k = 0; k < nblocks && k < occurrences[b].size(); ++k) {
-          occ_cols[k] = &rho.DataColumn(occurrences[b][k]);
-        }
-        std::vector<const Symbol*> occ_chunk(nblocks, nullptr);
-        size_t s = 0;
-        while (s < src.size()) {
-          const size_t row0 = src[s] - 1;
-          const size_t c0 = row0 >> core::Column::kChunkBits;
-          size_t e = s + 1;
-          while (e < src.size() && src[e] == src[e - 1] + 1 &&
-                 ((src[e] - 1) >> core::Column::kChunkBits) == c0) {
-            ++e;
-          }
-          for (size_t k = 0; k < nblocks; ++k) {
-            occ_chunk[k] =
-                occ_cols[k] == nullptr ? nullptr : occ_cols[k]->ChunkData(c0);
-          }
-          // The run is staged block-at-a-time: for each k the null check is
-          // hoisted and the inner loop is contiguous loads from the source
-          // chunk with per_src-strided stores — shapes the compiler turns
-          // into splat/interleave vector code, unlike the per-cell variant.
-          for (size_t sub = s; sub < e; sub += rows_per_flush) {
-            const size_t take = std::min(e - sub, rows_per_flush);
-            const size_t off = (src[sub] - 1) & core::Column::kChunkMask;
-            for (size_t k = 0; k < nblocks; ++k) {
-              const Symbol* p = occ_chunk[k];
-              Symbol* dst = buf.data() + k * ncombos;
-              if (p == nullptr) {
-                for (size_t r = 0; r < take; ++r) {
-                  std::fill_n(dst + r * per_src, ncombos, Symbol::Null());
-                }
-              } else if (ncombos == 1) {
-                for (size_t r = 0; r < take; ++r) {
-                  dst[r * per_src] = p[off + r];
-                }
-              } else {
-                for (size_t r = 0; r < take; ++r) {
-                  std::fill_n(dst + r * per_src, ncombos, p[off + r]);
-                }
-              }
-            }
-            col.AppendSpan(buf.data(), take * per_src);
-          }
-          s = e;
+  std::vector<Symbol> pattern(per_src);
+  // Fills are staged in a scratch buffer written by index (the compiler
+  // turns the inner loops into splat/interleave stores) and flushed with
+  // one AppendSpan per ~kChunkSize cells.
+  const size_t rows_per_flush =
+      std::max<size_t>(1, core::Column::kChunkSize / per_src);
+  std::vector<Symbol> buf(rows_per_flush * per_src);
+  for (size_t c = 0; c < data.size(); ++c) {
+    core::Column& col = data[c];
+    if (c < kept.size()) {
+      // Kept column: each surviving source row's value, per_src times.
+      // One pass gathers the source values (an all-⊥ column then stays
+      // fully lazy), a second streams the repeated fills.
+      const core::Column& from = rho.DataColumn(kept[c]);
+      uint32_t any = 0;
+      std::vector<Symbol> vals;
+      vals.reserve(src.size());
+      for (size_t i : src) {
+        const Symbol v = from.Get(i - 1);
+        any |= v.raw_id();
+        vals.push_back(v);
+      }
+      if (any == 0) {
+        col.AppendNulls(out_rows);
+        continue;
+      }
+      size_t w = 0;
+      for (Symbol v : vals) {
+        std::fill_n(buf.data() + w, per_src, v);
+        w += per_src;
+        if (w + per_src > buf.size()) {
+          col.AppendSpan(buf.data(), w);
+          w = 0;
         }
       }
+      if (w > 0) col.AppendSpan(buf.data(), w);
+    } else if (c < kept.size() + a_n) {
+      // 𝒜-column: the (block, combo) → value pattern is independent of
+      // the source row, so precompute one per_src-cell tile, widen it to
+      // a chunk, and replay it with bulk appends.
+      const size_t a = c - kept.size();
+      bool all_null = true;
+      for (size_t k = 0; k < nblocks; ++k) {
+        for (size_t combo = 0; combo < ncombos; ++combo) {
+          const size_t src_row =
+              a_rows[a][(combo / stride[a]) % a_rows[a].size()];
+          Symbol v = block_first[k] == kNoColumn
+                         ? Symbol::Null()
+                         : rho.at(src_row, block_first[k]);
+          pattern[k * ncombos + combo] = v;
+          all_null = all_null && v.is_null();
+        }
+      }
+      if (all_null) {
+        col.AppendNulls(out_rows);
+        continue;
+      }
+      for (size_t r = 0; r < rows_per_flush; ++r) {
+        std::copy(pattern.begin(), pattern.end(),
+                  buf.begin() + r * per_src);
+      }
+      size_t remaining = src.size();
+      while (remaining >= rows_per_flush) {
+        col.AppendSpan(buf.data(), rows_per_flush * per_src);
+        remaining -= rows_per_flush;
+      }
+      if (remaining > 0) col.AppendSpan(buf.data(), remaining * per_src);
+    } else {
+      // ℬ-column: block k reads the k-th occurrence of this attribute
+      // (⊥ past its last occurrence); each value spans the ncombos
+      // 𝒜-choices. Consecutive source rows inside one source chunk are
+      // processed as a run off raw chunk pointers, skipping the per-cell
+      // chunk resolution of Get on the 10M-cell path.
+      const size_t b = c - kept.size() - a_n;
+      std::vector<const core::Column*> occ_cols(nblocks, nullptr);
+      for (size_t k = 0; k < nblocks && k < occurrences[b].size(); ++k) {
+        occ_cols[k] = &rho.DataColumn(occurrences[b][k]);
+      }
+      std::vector<const Symbol*> occ_chunk(nblocks, nullptr);
+      size_t s = 0;
+      while (s < src.size()) {
+        const size_t row0 = src[s] - 1;
+        const size_t c0 = row0 >> core::Column::kChunkBits;
+        size_t e = s + 1;
+        while (e < src.size() && src[e] == src[e - 1] + 1 &&
+               ((src[e] - 1) >> core::Column::kChunkBits) == c0) {
+          ++e;
+        }
+        for (size_t k = 0; k < nblocks; ++k) {
+          occ_chunk[k] =
+              occ_cols[k] == nullptr ? nullptr : occ_cols[k]->ChunkData(c0);
+        }
+        // The run is staged block-at-a-time: for each k the null check is
+        // hoisted and the inner loop is contiguous loads from the source
+        // chunk with per_src-strided stores — shapes the compiler turns
+        // into splat/interleave vector code, unlike the per-cell variant.
+        for (size_t sub = s; sub < e; sub += rows_per_flush) {
+          const size_t take = std::min(e - sub, rows_per_flush);
+          const size_t off = (src[sub] - 1) & core::Column::kChunkMask;
+          for (size_t k = 0; k < nblocks; ++k) {
+            const Symbol* p = occ_chunk[k];
+            Symbol* dst = buf.data() + k * ncombos;
+            if (p == nullptr) {
+              for (size_t r = 0; r < take; ++r) {
+                std::fill_n(dst + r * per_src, ncombos, Symbol::Null());
+              }
+            } else if (ncombos == 1) {
+              for (size_t r = 0; r < take; ++r) {
+                dst[r * per_src] = p[off + r];
+              }
+            } else {
+              for (size_t r = 0; r < take; ++r) {
+                std::fill_n(dst + r * per_src, ncombos, p[off + r]);
+              }
+            }
+          }
+          col.AppendSpan(buf.data(), take * per_src);
+        }
+        s = e;
+      }
     }
-  });
+  }
   Table out = Table::FromColumns(result_name, std::move(col_attrs),
                                  std::move(row_attrs), std::move(data));
   static obs::OpCounters counters("algebra.merge");

@@ -4,7 +4,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -123,7 +122,7 @@ Result<Table> CartesianProduct(const Table& rho, const Table& sigma,
   out.set_name(result_name);
   for (size_t j = 1; j <= wr; ++j) out.set(0, j, rho.at(0, j));
   for (size_t j = 1; j <= ws; ++j) out.set(0, wr + j, sigma.at(0, j));
-  // Flat row r = (i, k) of the serial nesting: each rho column repeats
+  // Flat row r = (i, k) of the nesting: each rho column repeats
   // every value hs times, each sigma column tiles whole hr times.
   SymbolVec& row_attrs = out.MutableRowAttrs();
   for (size_t i = 0; i < hr; ++i) {
@@ -133,31 +132,27 @@ Result<Table> CartesianProduct(const Table& rho, const Table& sigma,
           CombineRowAttributes(a, sigma.RowAttribute(k + 1));
     }
   }
-  // Each task builds whole columns (chunk runs of repeats/tiles via the
-  // bulk appenders), so the output is byte-identical at any thread count
-  // and all-⊥ source chunks stay lazy in the product.
-  const size_t min_cols = 1 + exec::kDefaultSerialCutoff / (out_rows + 1);
-  exec::ParallelFor(wr + ws, min_cols, [&](size_t jb, size_t je) {
-    for (size_t j = jb; j < je; ++j) {
-      core::Column col;
-      if (j < wr) {
-        const core::Column& src = rho.DataColumn(j + 1);
-        for (size_t c = 0; c < src.num_chunks(); ++c) {
-          const Symbol* p = src.ChunkData(c);
-          const size_t len = src.ChunkLen(c);
-          if (p == nullptr) {
-            col.AppendNulls(len * hs);
-          } else {
-            for (size_t k = 0; k < len; ++k) col.AppendFill(p[k], hs);
-          }
+  // Whole columns are built from chunk runs of repeats/tiles via the bulk
+  // appenders, so all-⊥ source chunks stay lazy in the product.
+  for (size_t j = 0; j < wr + ws; ++j) {
+    core::Column col;
+    if (j < wr) {
+      const core::Column& src = rho.DataColumn(j + 1);
+      for (size_t c = 0; c < src.num_chunks(); ++c) {
+        const Symbol* p = src.ChunkData(c);
+        const size_t len = src.ChunkLen(c);
+        if (p == nullptr) {
+          col.AppendNulls(len * hs);
+        } else {
+          for (size_t k = 0; k < len; ++k) col.AppendFill(p[k], hs);
         }
-      } else {
-        const core::Column& src = sigma.DataColumn(j - wr + 1);
-        for (size_t i = 0; i < hr; ++i) col.AppendRange(src, 0, hs);
       }
-      out.MutableDataColumn(j + 1) = std::move(col);
+    } else {
+      const core::Column& src = sigma.DataColumn(j - wr + 1);
+      for (size_t i = 0; i < hr; ++i) col.AppendRange(src, 0, hs);
     }
-  });
+    out.MutableDataColumn(j + 1) = std::move(col);
+  }
   static obs::OpCounters counters("algebra.product");
   counters.Record(hr + hs, out.height());
   return out;

@@ -30,8 +30,7 @@ namespace tabular::core {
 /// write. `Set` of ⊥ into a lazy chunk is a no-op.
 ///
 /// Thread-safety: concurrent reads are wait-free (handle loads). A write
-/// may materialize a chunk, so parallel kernels must either partition work
-/// by chunk (each chunk written by one task only) or pre-`Materialize`.
+/// may materialize a chunk, so writers need exclusive access.
 class Column {
  public:
   static constexpr size_t kChunkBits = 12;
@@ -93,12 +92,6 @@ class Column {
     std::vector<Symbol>& ch = ChunkSlot(c);
     if (ch.empty()) MaterializeChunk(ch, ChunkLen(c));
     return ch.data();
-  }
-
-  /// Materializes every chunk (so concurrent position-disjoint `Set`s on
-  /// shared chunks stay race-free).
-  void Materialize() {
-    for (size_t c = 0; c < num_chunks(); ++c) MutableChunkData(c);
   }
 
   /// Grows (or shrinks) to `n` cells; new cells are ⊥ and lazy.
@@ -252,11 +245,6 @@ class Table {
   const SymbolVec& ColAttrs() const { return col_attrs_; }
   SymbolVec& MutableRowAttrs() { return row_attrs_; }
   SymbolVec& MutableColAttrs() { return col_attrs_; }
-  /// Materializes every chunk of every data column (see Column::Set for
-  /// when parallel writers need this).
-  void MaterializeAll() {
-    for (core::Column& c : data_) c.Materialize();
-  }
 
   // -- Structural edits -----------------------------------------------------
 

@@ -9,7 +9,6 @@
 #include "algebra/ops.h"
 #include "analysis/analyzer.h"
 #include "analysis/cost.h"
-#include "exec/parallel.h"
 #include "obs/trace.h"
 
 namespace tabular::lang {
@@ -179,7 +178,6 @@ Status Interpreter::Run(const Program& program, TabularDatabase* db) {
   if (root != nullptr) {
     root->wall_ns = obs::TraceNowNs() - t0;
     root->invocations = 1;
-    root->threads = exec::Threads();
   }
   if (!st.ok() && !last_commit_path_.empty()) {
     st = Status(st.code(),
@@ -508,7 +506,6 @@ Status Interpreter::RunAssignment(const Assignment& stmt,
       node->rows_out += s.table.height();
       node->cols_out += s.table.width();
     }
-    node->threads = exec::Threads();
     node->wall_ns += obs::TraceNowNs() - t0;
   }
   for (Staged& s : staged) db->Add(std::move(s.table));

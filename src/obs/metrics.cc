@@ -22,9 +22,10 @@ struct ThreadCells;
 
 /// The registry owns every metric object (in deques, so references never
 /// move) and tracks the per-thread counter cell blocks. Leaked singleton:
-/// thread-local cell blocks of pool workers are destroyed after main()'s
-/// statics, so the registry must outlive them. Defined at namespace scope
-/// (not anonymous) so the friend declarations in metrics.h resolve to it.
+/// thread-local cell blocks of threads still running at exit are destroyed
+/// after main()'s statics, so the registry must outlive them. Defined at
+/// namespace scope (not anonymous) so the friend declarations in metrics.h
+/// resolve to it.
 class Registry {
  public:
   static Registry& Instance() {

@@ -15,7 +15,7 @@ namespace tabular::obs {
 /// Process-wide registry of named counters, gauges, and histograms.
 ///
 /// Naming scheme: `<layer>.<op>.<what>` with lower_snake segments, e.g.
-/// `algebra.group.rows_in`, `exec.parallel.serial_cutoff_hits`,
+/// `algebra.group.rows_in`, `server.program_cache.hits`,
 /// `io.csv.parse_errors`, `core.symbols_interned`.
 ///
 /// Hot paths use `Counter::Add`, which is wait-free after a thread's first
@@ -148,7 +148,7 @@ class OpCounters {
 /// Human-readable snapshot of every registered metric, sorted by name:
 ///   algebra.group.calls 3
 ///   ...
-///   exec.threads 8 (gauge)
+///   server.sessions.active 2 (gauge)
 ///   io.csv.record_fields count=12 sum=48 (histogram)
 std::string MetricsSnapshot();
 

@@ -38,7 +38,6 @@ void AppendStats(const ProfileNode& node, const RenderProfileOptions& options,
     add("out=" + std::to_string(node.rows_out) + "x" +
         std::to_string(node.cols_out));
   }
-  if (node.threads > 0) add("threads=" + std::to_string(node.threads));
   if (options.show_times && node.wall_ns > 0) {
     add("[" + FormatDuration(node.wall_ns) + "]");
   }

@@ -1,7 +1,6 @@
 #ifndef TABULAR_OBS_PROFILE_H_
 #define TABULAR_OBS_PROFILE_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@ struct ProfileNode {
   uint64_t cols_in = 0;      ///< Σ input data columns over invocations.
   uint64_t rows_out = 0;     ///< Σ output data rows over invocations.
   uint64_t cols_out = 0;     ///< Σ output data columns over invocations.
-  size_t threads = 0;        ///< Kernel thread budget (root node).
 
   std::vector<ProfileNode> children;
 };
@@ -35,7 +33,7 @@ struct RenderProfileOptions {
 
 /// Renders the tree as an indented report:
 ///
-///   program  threads=1  [1.23 ms]
+///   program  inst=1  [1.23 ms]
 ///   ├─ [1] Sales <- group by {Region} on {Sold} (Sales);  inst=1 in=6x3
 ///   │    out=8x15  [0.52 ms]
 ///   └─ [2] ...

@@ -46,7 +46,7 @@ struct ThreadNames {
   std::map<uint32_t, std::string> names;
 
   static ThreadNames& Instance() {
-    static ThreadNames* names = new ThreadNames();  // Leaked (worker TLS
+    static ThreadNames* names = new ThreadNames();  // Leaked (thread TLS
     return *names;                                  // may outlive statics).
   }
 };
@@ -209,7 +209,7 @@ std::string Tracing::ToJson() {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   // One thread_name metadata record per track that has events, so Perfetto
-  // labels worker rows.
+  // labels each thread's row.
   std::map<uint32_t, std::string> track_names;
   {
     ThreadNames& tn = ThreadNames::Instance();

@@ -14,7 +14,7 @@ namespace tabular::obs {
 /// Spans are recorded into a fixed-size lock-free ring buffer (oldest
 /// events are overwritten on wrap) and exported as Chrome `trace_event`
 /// JSON — loadable in `chrome://tracing` or https://ui.perfetto.dev —
-/// with one track per thread, so `exec::ParallelFor` workers show up as
+/// with one track per thread, so concurrent tabulard sessions show up as
 /// their own rows.
 ///
 /// Tracing is off by default; a disabled `TABULAR_TRACE_SPAN` costs one
@@ -62,7 +62,7 @@ class Tracing {
 /// practice the main thread). Stable for the thread's lifetime.
 uint32_t CurrentThreadId();
 
-/// Names the calling thread's track in exported traces ("tabular-worker-3").
+/// Names the calling thread's track in exported traces ("tabulard-session").
 void SetCurrentThreadName(std::string_view name);
 
 /// Monotonic nanoseconds since the process's trace epoch.

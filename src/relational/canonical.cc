@@ -1,14 +1,11 @@
 #include "relational/canonical.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -43,7 +40,7 @@ Result<RelationalDatabase> CanonicalEncode(const TabularDatabase& db,
   // sequential counter would produce walking tables in order and, within a
   // table, the name, then row attributes, then column attributes, then
   // cells in row-major order. This keeps ids identical to the historical
-  // counter-based encoding while letting tuple generation run in parallel.
+  // counter-based encoding and sizes the tuple vectors up front.
   struct TablePlan {
     const Table* table;
     size_t m, n;         // Paper height/width.
@@ -93,19 +90,16 @@ Result<RelationalDatabase> CanonicalEncode(const TabularDatabase& db,
     }
     if (p.has_cells) {
       // One fresh id + Map tuple + Data tuple per cell, in row-major
-      // order; each flat index owns its slots, so the fill parallelizes.
+      // order.
       const size_t cell_id_base = p.id_base + 1 + m + n;
       const size_t cell_map_base = p.map_base + 1 + m + n;
-      exec::ParallelFor(m * n, exec::kDefaultSerialCutoff / 4,
-                        [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          const size_t i = 1 + c / n;
-          const size_t j = 1 + c % n;
-          const Symbol vid = id_at(cell_id_base + c);
-          map_tuples[cell_map_base + c] = {vid, t.at(i, j)};
-          data_tuples[p.data_base + c] = {tid, row_ids[i], col_ids[j], vid};
-        }
-      });
+      for (size_t c = 0; c < m * n; ++c) {
+        const size_t i = 1 + c / n;
+        const size_t j = 1 + c % n;
+        const Symbol vid = id_at(cell_id_base + c);
+        map_tuples[cell_map_base + c] = {vid, t.at(i, j)};
+        data_tuples[p.data_base + c] = {tid, row_ids[i], col_ids[j], vid};
+      }
     } else if (m == 0 && n == 0) {
       data_tuples[p.data_base] = {tid, nil, nil, nil};
     } else if (n == 0) {
@@ -120,8 +114,8 @@ Result<RelationalDatabase> CanonicalEncode(const TabularDatabase& db,
   }
 
   // Pre-sorting makes the set load linear.
-  exec::ParallelSort(map_tuples.begin(), map_tuples.end(), TupleLess{});
-  exec::ParallelSort(data_tuples.begin(), data_tuples.end(), TupleLess{});
+  std::sort(map_tuples.begin(), map_tuples.end(), TupleLess{});
+  std::sort(data_tuples.begin(), data_tuples.end(), TupleLess{});
   Relation data(RepDataName(),
                 {Symbol::Name("Tbl"), Symbol::Name("Row"), Symbol::Name("Col"),
                  Symbol::Name("Val")});
@@ -227,49 +221,19 @@ Result<TabularDatabase> CanonicalDecode(const RelationalDatabase& rep) {
   for (const Run& run : runs) {
     const Symbol tid = (*cells[run.begin])[0];
     TABULAR_ASSIGN_OR_RETURN(Symbol name, lookup(tid));
-    // Collect row and column ids in order of first appearance: chunked
-    // parallel scan with chunk-local dedup, then an ordered serial merge —
-    // the same order the serial scan produces.
-    const size_t ncells = run.end - run.begin;
-    struct Appearances {
-      std::vector<Symbol> rows, cols;
-    };
-    const size_t nchunks =
-        ncells < exec::kDefaultSerialCutoff ? 1 : exec::Threads() * 4;
-    std::vector<Appearances> chunks(nchunks);
-    exec::ParallelFor(nchunks, 2, [&](size_t cb, size_t ce) {
-      for (size_t c = cb; c < ce; ++c) {
-        Appearances& a = chunks[c];
-        std::unordered_set<Symbol> seen_rows, seen_cols;
-        // SplitPoint, not ncells * c / nchunks: the product wraps for
-        // near-SIZE_MAX runs and would scan garbage ranges.
-        const size_t lo = run.begin + exec::SplitPoint(ncells, nchunks, c);
-        const size_t hi =
-            run.begin + exec::SplitPoint(ncells, nchunks, c + 1);
-        for (size_t i = lo; i < hi; ++i) {
-          const Symbol rid = (*cells[i])[1];
-          const Symbol cid = (*cells[i])[2];
-          if (seen_rows.insert(rid).second && !is_nil_marker(rid)) {
-            a.rows.push_back(rid);
-          }
-          if (seen_cols.insert(cid).second && !is_nil_marker(cid)) {
-            a.cols.push_back(cid);
-          }
-        }
-      }
-    });
+    // Collect row and column ids in order of first appearance.
     std::vector<Symbol> row_ids, col_ids;
     std::unordered_map<Symbol, size_t> row_index, col_index;
-    for (const Appearances& a : chunks) {
-      for (Symbol rid : a.rows) {
-        if (row_index.emplace(rid, row_ids.size()).second) {
-          row_ids.push_back(rid);
-        }
+    for (size_t i = run.begin; i < run.end; ++i) {
+      const Symbol rid = (*cells[i])[1];
+      const Symbol cid = (*cells[i])[2];
+      if (!row_index.contains(rid) && !is_nil_marker(rid)) {
+        row_index.emplace(rid, row_ids.size());
+        row_ids.push_back(rid);
       }
-      for (Symbol cid : a.cols) {
-        if (col_index.emplace(cid, col_ids.size()).second) {
-          col_ids.push_back(cid);
-        }
+      if (!col_index.contains(cid) && !is_nil_marker(cid)) {
+        col_index.emplace(cid, col_ids.size());
+        col_ids.push_back(cid);
       }
     }
     Table t(1 + row_ids.size(), 1 + col_ids.size());
@@ -282,35 +246,14 @@ Result<TabularDatabase> CanonicalDecode(const RelationalDatabase& rep) {
       TABULAR_ASSIGN_OR_RETURN(Symbol attr, lookup(col_ids[j]));
       t.set(0, j + 1, attr);
     }
-    // Cell fill: each tuple owns its (row, col) slot (FD-checked), so
-    // ranges write disjoint cells. The scattered writes land on shared
-    // chunks, so materialize them up front — a lazy chunk would otherwise
-    // be resized racily by the first writer (see core::Column::Set).
-    // Errors are flagged and reported by a serial rescan so the message
-    // matches the serial path.
-    t.MaterializeAll();
-    std::atomic<bool> missing_val{false};
-    exec::ParallelFor(ncells, exec::kDefaultSerialCutoff / 4,
-                      [&](size_t begin, size_t end) {
-      for (size_t i = run.begin + begin; i < run.begin + end; ++i) {
-        const Symbol rid = (*cells[i])[1];
-        const Symbol cid = (*cells[i])[2];
-        if (is_nil_marker(rid) || is_nil_marker(cid)) continue;
-        const auto* val = find_entry((*cells[i])[3]);
-        if (val == nullptr) {
-          missing_val.store(true, std::memory_order_relaxed);
-          continue;
-        }
-        t.set(row_index.at(rid) + 1, col_index.at(cid) + 1, val->second);
-      }
-    });
-    if (missing_val.load()) {
-      for (size_t i = run.begin; i < run.end; ++i) {
-        const Symbol rid = (*cells[i])[1];
-        const Symbol cid = (*cells[i])[2];
-        if (is_nil_marker(rid) || is_nil_marker(cid)) continue;
-        TABULAR_RETURN_NOT_OK(lookup((*cells[i])[3]).status());
-      }
+    // Cell fill: each tuple owns its (row, col) slot (FD-checked); the
+    // nil marker indexes no row or column.
+    for (size_t i = run.begin; i < run.end; ++i) {
+      const auto row = row_index.find((*cells[i])[1]);
+      const auto col = col_index.find((*cells[i])[2]);
+      if (row == row_index.end() || col == col_index.end()) continue;
+      TABULAR_ASSIGN_OR_RETURN(Symbol val, lookup((*cells[i])[3]));
+      t.set(row->second + 1, col->second + 1, val);
     }
     out.Add(std::move(t));
   }

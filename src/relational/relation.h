@@ -55,7 +55,7 @@ class Relation {
 
   /// Bulk insert with the same semantics as repeated `Insert`. Into an
   /// empty relation, pre-sorted (TupleLess) input loads in linear time —
-  /// the fast path for kernels that generate and sort tuples in parallel.
+  /// the fast path for kernels that generate and sort tuples in bulk.
   Status InsertBulk(std::vector<SymbolVec> tuples);
 
   /// The tuples in deterministic (lexicographic) order.

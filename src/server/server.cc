@@ -279,7 +279,6 @@ void Server::SessionLoop(int fd, uint64_t session_id) {
     }
     if (!frame->has_value()) return;  // clean EOF
 
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
     const uint64_t t0 = obs::TraceNowNs();
     obs::QueryLogEntry audit;
     std::string response = HandleRequest(**frame, session_id, &audit);
@@ -294,7 +293,6 @@ void Server::SessionLoop(int fd, uint64_t session_id) {
       audit.latency_us = latency_us;
       slow_log_.Observe(audit);
     }
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     if (!WriteFrame(fd, response).ok()) return;
     // Drain semantics: the request that was in flight when shutdown was
     // requested gets its response, then the session closes.
@@ -335,7 +333,7 @@ std::string Server::HandleRequest(const std::string& payload,
       return EncodePingResponse(pong);
     }
     case MsgType::kRun:
-      return HandleRun(payload, session_id, &root, audit);
+      return HandleRun(payload, &root, audit);
     case MsgType::kSlowLog: {
       SlowLogResponse resp;
       resp.threshold_micros = slow_log_.threshold_micros();
@@ -380,9 +378,8 @@ std::string Server::HandleRequest(const std::string& payload,
 }
 
 std::string Server::HandleRun(const std::string& payload,
-                              uint64_t session_id, obs::TraceSpan* root,
+                              obs::TraceSpan* root,
                               obs::QueryLogEntry* audit) {
-  (void)session_id;  // the session loop stamps it onto `audit`
   TABULAR_TRACE_SPAN("server.run", "server");
   auto error = [this, audit](StatusCode code, std::string message) {
     request_errors_.fetch_add(1, std::memory_order_relaxed);

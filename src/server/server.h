@@ -141,8 +141,8 @@ class Server {
   /// slow-query log.
   std::string HandleRequest(const std::string& payload, uint64_t session_id,
                             obs::QueryLogEntry* audit);
-  std::string HandleRun(const std::string& payload, uint64_t session_id,
-                        obs::TraceSpan* root, obs::QueryLogEntry* audit);
+  std::string HandleRun(const std::string& payload, obs::TraceSpan* root,
+                        obs::QueryLogEntry* audit);
 
   ServerOptions options_;
   std::unique_ptr<VersionedDatabase> versions_;
@@ -162,7 +162,6 @@ class Server {
   std::atomic<uint64_t> sessions_total_{0};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> request_errors_{0};
-  std::atomic<uint64_t> in_flight_{0};
 
   mutable std::mutex mu_;
   std::condition_variable shutdown_cv_;

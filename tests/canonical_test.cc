@@ -122,6 +122,28 @@ TEST(CanonicalTest, DecodeFillsMissingCellsWithNull) {
   EXPECT_EQ(nulls, 2);
 }
 
+TEST(CanonicalTest, DecodeNamesTheFirstCellValueWithoutMapEntry) {
+  // Two cells carry value ids with no Map entry; the error names the first
+  // in Data order, (r1, c2).
+  RelationalDatabase rep;
+  Relation map(RepMapName(), {N("Id"), N("Entry")});
+  ASSERT_TRUE(map.Insert({V("t"), N("T")}).ok());
+  ASSERT_TRUE(map.Insert({V("r1"), core::Symbol::Null()}).ok());
+  ASSERT_TRUE(map.Insert({V("r2"), core::Symbol::Null()}).ok());
+  ASSERT_TRUE(map.Insert({V("c1"), N("A")}).ok());
+  ASSERT_TRUE(map.Insert({V("c2"), N("B")}).ok());
+  ASSERT_TRUE(map.Insert({V("v"), V("x")}).ok());
+  Relation data(RepDataName(), {N("Tbl"), N("Row"), N("Col"), N("Val")});
+  ASSERT_TRUE(data.Insert({V("t"), V("r1"), V("c1"), V("v")}).ok());
+  ASSERT_TRUE(data.Insert({V("t"), V("r1"), V("c2"), V("w2")}).ok());
+  ASSERT_TRUE(data.Insert({V("t"), V("r2"), V("c1"), V("w1")}).ok());
+  rep.Put(std::move(map));
+  rep.Put(std::move(data));
+  auto db = CanonicalDecode(rep);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().message(), "id w2 has no Map entry");
+}
+
 // ---------------------------------------------------------------------------
 // Genericity (§4.1 condition (i)) of the canonical pipeline
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -492,31 +491,40 @@ TEST(TraceTest, DisabledSpansRecordNothing) {
   EXPECT_EQ(Tracing::EventCount(), 0u);
 }
 
-TEST(TraceTest, SpansNestAcrossParallelForWorkers) {
+TEST(TraceTest, SpansFromSeveralThreadsLandInOneRing) {
   Tracing::Clear();
   Tracing::Enable();
   SetCurrentThreadName("obs-test-main");
   {
-    exec::ScopedThreads threads(4);
     TABULAR_TRACE_SPAN("outer", "test");
-    // min_parallel = 1 forces the fork even for a small n.
-    exec::ParallelFor(64, 1, [](size_t begin, size_t end) {
-      TABULAR_TRACE_SPAN("inner", "test");
-      for (size_t i = begin; i < end; ++i) {
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 4; ++w) {
+      workers.emplace_back([w] {
+        SetCurrentThreadName("obs-test-worker-" + std::to_string(w));
+        TABULAR_TRACE_SPAN("inner", "test");
         benchmark_dummy.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+      });
+    }
+    for (std::thread& t : workers) t.join();
   }
   Tracing::Disable();
-  // Outer span, the parallel_for span from exec, and one inner span per
-  // chunk all landed in the ring.
+  // The outer span and one inner span per worker landed in the ring, each
+  // on its own named thread track.
   const std::string json = Tracing::ToJson();
   EXPECT_TRUE(JsonValidator(json).Valid()) << json;
   EXPECT_NE(json.find("\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"inner\""), std::string::npos);
-  EXPECT_NE(json.find("\"parallel_for\""), std::string::npos);
+  size_t inner = 0;
+  for (size_t p = json.find("\"inner\""); p != std::string::npos;
+       p = json.find("\"inner\"", p + 1)) {
+    ++inner;
+  }
+  EXPECT_EQ(inner, 4u);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("obs-test-main"), std::string::npos);
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_NE(json.find("obs-test-worker-" + std::to_string(w)),
+              std::string::npos);
+  }
 }
 
 TEST(TraceTest, ConcurrentExportWhileRecordingIsWellFormed) {

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/sales_data.h"
-#include "exec/parallel.h"
 #include "lang/interpreter.h"
 #include "lang/parser.h"
 #include "obs/profile.h"
@@ -40,7 +39,6 @@ TEST(RenderProfileTest, FormatsTreeWithStats) {
   stmt.cols_in = 3;
   stmt.rows_out = 3;
   stmt.cols_out = 4;
-  stmt.threads = 1;
   ProfileNode loop;
   loop.label = "[2] while R do ...";
   loop.iterations = 7;
@@ -52,20 +50,19 @@ TEST(RenderProfileTest, FormatsTreeWithStats) {
 
   EXPECT_EQ(RenderProfile(root),
             "program  inst=1 [5000 ns]\n"
-            "├─ [1] X <- transpose (X);  inst=2 in=4x3 out=3x4 threads=1\n"
+            "├─ [1] X <- transpose (X);  inst=2 in=4x3 out=3x4\n"
             "└─ [2] while R do ...  iters=7\n"
             "   └─ [2.1] R <- project {A} (R);\n");
   EXPECT_EQ(RenderProfile(root, kNoTimes),
             "program  inst=1\n"
-            "├─ [1] X <- transpose (X);  inst=2 in=4x3 out=3x4 threads=1\n"
+            "├─ [1] X <- transpose (X);  inst=2 in=4x3 out=3x4\n"
             "└─ [2] while R do ...  iters=7\n"
             "   └─ [2.1] R <- project {A} (R);\n");
 }
 
 // Golden: profiling the Figure 4 GROUP program over the paper's Sales data
-// (serial so thread counts are stable; times suppressed).
+// (times suppressed).
 TEST(ProfileTest, GoldenFig4GroupProgram) {
-  exec::ScopedThreads serial(1);
   auto program = lang::ParseProgram(kFig4Program);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   TabularDatabase db;
@@ -77,13 +74,13 @@ TEST(ProfileTest, GoldenFig4GroupProgram) {
 
   EXPECT_EQ(
       RenderProfile(interp.profile(), kNoTimes),
-      "program  inst=1 threads=1\n"
+      "program  inst=1\n"
       "├─ [1] Sales <- group by {Region} on {Sold} (Sales);"
-      "  inst=1 in=8x3 out=9x9 threads=1\n"
+      "  inst=1 in=8x3 out=9x9\n"
       "├─ [2] Sales <- cleanup by {Part} on {_} (Sales);"
-      "  inst=1 in=9x9 out=4x9 threads=1\n"
+      "  inst=1 in=9x9 out=4x9\n"
       "└─ [3] Sales <- purge on {Sold} by {Region} (Sales);"
-      "  inst=1 in=4x9 out=4x5 threads=1\n");
+      "  inst=1 in=4x9 out=4x5\n");
 }
 
 TEST(ProfileTest, ExplainIsLabelOnly) {

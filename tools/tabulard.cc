@@ -13,11 +13,14 @@
 // SIGINT/SIGTERM shut down gracefully: new sessions are refused, in-flight
 // requests drain (bounded by --drain-seconds), and the process exits 0.
 
+#include <cctype>
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -39,8 +42,9 @@ options:
   --unix <path>        listen on a unix socket instead
   --cache-capacity <n> compiled-program cache entries (default 128)
   --no-optimize        skip the certified rewrite engine when compiling
-  --drain-seconds <s>  graceful-shutdown drain deadline (default 5)
-  --max-sessions <n>   concurrent session limit (default 1024)
+  --drain-seconds <s>  graceful-shutdown drain deadline (default 5, at
+                       most 86400)
+  --max-sessions <n>   concurrent session limit (default 1024, at least 1)
   --slow-ms <ms>       slow-query log threshold in milliseconds
                        (default 100, or TABULAR_SLOW_MS; negative disables;
                        drain with `tabular_cli slowlog`)
@@ -56,18 +60,51 @@ options:
   -h, --help           show this help
 )";
 
-// Admission limits are safety rails: a value that does not parse exactly
-// as a non-negative decimal must fail loudly, not silently become 0 (= the
-// limit the operator thinks is in force is off).
-bool ParseLimit(const char* s, uint64_t* out) {
-  if (s == nullptr || *s < '0' || *s > '9') return false;
+// Numeric flags and variables are parsed strictly: a value that does not
+// parse exactly, or lies outside its range, fails loudly instead of
+// silently becoming 0 (a limit the operator thinks is in force is off, or
+// every session is refused) or wrapping (port 70000 binding 4464). Each
+// parser prints an error naming the flag or variable and returns false.
+
+// A decimal integer in [0, max].
+template <typename T>
+bool ParseCount(const char* name, const char* value, uint64_t max,
+                const char* what, T* out) {
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || *end != '\0') return false;
+  unsigned long long v = 0;
+  if (*value >= '0' && *value <= '9') v = std::strtoull(value, &end, 10);
+  if (end == nullptr || errno != 0 || *end != '\0' || v > max) {
+    std::fprintf(stderr, "tabulard: error: %s '%s' is not %s\n", name, value,
+                 what);
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// A finite real number in [min, max].
+bool ParseReal(const char* name, const char* value, double min, double max,
+               const char* what, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  double v = 0;
+  if (*value != '\0' && !std::isspace(static_cast<unsigned char>(*value))) {
+    v = std::strtod(value, &end);
+  }
+  if (end == nullptr || errno != 0 || *end != '\0' ||
+      !(v >= min && v <= max)) {
+    std::fprintf(stderr, "tabulard: error: %s '%s' is not %s\n", name, value,
+                 what);
+    return false;
+  }
   *out = v;
   return true;
 }
+
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+// One day: far beyond any useful drain, and far inside the clock's range.
+constexpr double kMaxDrainSeconds = 86400;
 
 // Signal handling: the handler only writes one byte to a self-pipe
 // (async-signal-safe); the main thread blocks on the pipe and runs the
@@ -92,34 +129,34 @@ int main(int argc, char** argv) {
   bool quiet = false;
 
   // TABULAR_SLOW_MS seeds the slow-query threshold; --slow-ms overrides it.
-  auto slow_ms_to_micros = [](double ms) {
-    return ms < 0 ? tabular::obs::QueryLog::kDisabled
-                  : static_cast<uint64_t>(ms * 1000.0);
+  auto slow_ms = [&options](const char* name, const char* value) {
+    double ms = 0;
+    if (!ParseReal(name, value, -kMaxReal, kMaxReal, "a number of ms", &ms)) {
+      return false;
+    }
+    constexpr uint64_t kDisabled = tabular::obs::QueryLog::kDisabled;
+    options.slow_query_micros =
+        ms < 0 || ms * 1000.0 >= static_cast<double>(kDisabled)
+            ? kDisabled
+            : static_cast<uint64_t>(ms * 1000.0);
+    return true;
   };
   if (const char* env = std::getenv("TABULAR_SLOW_MS");
-      env != nullptr && *env != '\0') {
-    options.slow_query_micros = slow_ms_to_micros(std::strtod(env, nullptr));
+      env != nullptr && *env != '\0' && !slow_ms("TABULAR_SLOW_MS", env)) {
+    return 2;
   }
   // Same pattern for the admission limits: env seeds, flag overrides.
   if (const char* env = std::getenv("TABULAR_ADMIT_MAX_ROWS");
-      env != nullptr && *env != '\0') {
-    if (!ParseLimit(env, &options.max_est_rows)) {
-      std::fprintf(stderr,
-                   "tabulard: error: TABULAR_ADMIT_MAX_ROWS='%s' is not a "
-                   "row count\n",
-                   env);
-      return 2;
-    }
+      env != nullptr && *env != '\0' &&
+      !ParseCount("TABULAR_ADMIT_MAX_ROWS", env, UINT64_MAX, "a row count",
+                  &options.max_est_rows)) {
+    return 2;
   }
   if (const char* env = std::getenv("TABULAR_ADMIT_MAX_BYTES");
-      env != nullptr && *env != '\0') {
-    if (!ParseLimit(env, &options.max_est_bytes)) {
-      std::fprintf(stderr,
-                   "tabulard: error: TABULAR_ADMIT_MAX_BYTES='%s' is not a "
-                   "byte count\n",
-                   env);
-      return 2;
-    }
+      env != nullptr && *env != '\0' &&
+      !ParseCount("TABULAR_ADMIT_MAX_BYTES", env, UINT64_MAX, "a byte count",
+                  &options.max_est_bytes)) {
+    return 2;
   }
 
   auto need_value = [&](int& i, const char* flag) -> const char* {
@@ -149,46 +186,55 @@ int main(int argc, char** argv) {
       options.unix_path = v;
     } else if (arg == "--cache-capacity") {
       const char* v = need_value(i, "--cache-capacity");
-      if (v == nullptr) return 2;
-      options.cache.capacity = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (v == nullptr || !ParseCount("--cache-capacity", v, SIZE_MAX,
+                                      "an entry count",
+                                      &options.cache.capacity)) {
+        return 2;
+      }
     } else if (arg == "--no-optimize") {
       options.cache.optimize = false;
     } else if (arg == "--drain-seconds") {
       const char* v = need_value(i, "--drain-seconds");
-      if (v == nullptr) return 2;
-      options.drain_seconds = std::strtod(v, nullptr);
+      if (v == nullptr ||
+          !ParseReal("--drain-seconds", v, 0, kMaxDrainSeconds,
+                     "a number of seconds (0 to 86400)",
+                     &options.drain_seconds)) {
+        return 2;
+      }
     } else if (arg == "--max-sessions") {
       const char* v = need_value(i, "--max-sessions");
-      if (v == nullptr) return 2;
-      options.max_sessions =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (v == nullptr || !ParseCount("--max-sessions", v, SIZE_MAX,
+                                      "a session count",
+                                      &options.max_sessions)) {
+        return 2;
+      }
+      if (options.max_sessions == 0) {
+        std::fprintf(stderr,
+                     "tabulard: error: --max-sessions 0 refuses every "
+                     "session\n");
+        return 2;
+      }
     } else if (arg == "--slow-ms") {
       const char* v = need_value(i, "--slow-ms");
-      if (v == nullptr) return 2;
-      options.slow_query_micros = slow_ms_to_micros(std::strtod(v, nullptr));
+      if (v == nullptr || !slow_ms("--slow-ms", v)) return 2;
     } else if (arg == "--metrics-port") {
       const char* v = need_value(i, "--metrics-port");
-      if (v == nullptr) return 2;
-      options.metrics_port =
-          static_cast<int>(std::strtol(v, nullptr, 10));
+      if (v == nullptr || !ParseCount("--metrics-port", v, 65535,
+                                      "a port (0 to 65535)",
+                                      &options.metrics_port)) {
+        return 2;
+      }
     } else if (arg == "--max-est-rows") {
       const char* v = need_value(i, "--max-est-rows");
-      if (v == nullptr) return 2;
-      if (!ParseLimit(v, &options.max_est_rows)) {
-        std::fprintf(stderr,
-                     "tabulard: error: --max-est-rows '%s' is not a row "
-                     "count\n",
-                     v);
+      if (v == nullptr || !ParseCount("--max-est-rows", v, UINT64_MAX,
+                                      "a row count", &options.max_est_rows)) {
         return 2;
       }
     } else if (arg == "--max-est-bytes") {
       const char* v = need_value(i, "--max-est-bytes");
-      if (v == nullptr) return 2;
-      if (!ParseLimit(v, &options.max_est_bytes)) {
-        std::fprintf(stderr,
-                     "tabulard: error: --max-est-bytes '%s' is not a byte "
-                     "count\n",
-                     v);
+      if (v == nullptr || !ParseCount("--max-est-bytes", v, UINT64_MAX,
+                                      "a byte count",
+                                      &options.max_est_bytes)) {
         return 2;
       }
     } else if (arg == "--quiet") {
@@ -200,15 +246,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --listen is checked even beside --unix, which makes it unused.
+  const size_t colon = listen.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    std::fprintf(stderr, "tabulard: error: --listen expects host:port\n");
+    return 2;
+  }
+  uint16_t port = 0;
+  if (!ParseCount("--listen port", listen.c_str() + colon + 1, 65535,
+                  "a port (0 to 65535)", &port)) {
+    return 2;
+  }
   if (options.unix_path.empty()) {
-    const size_t colon = listen.rfind(':');
-    if (colon == std::string::npos || colon == 0) {
-      std::fprintf(stderr, "tabulard: error: --listen expects host:port\n");
-      return 2;
-    }
     options.host = listen.substr(0, colon);
-    options.port = static_cast<uint16_t>(
-        std::strtoul(listen.c_str() + colon + 1, nullptr, 10));
+    options.port = port;
   }
 
   tabular::core::TabularDatabase db;
