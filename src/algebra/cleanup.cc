@@ -200,124 +200,84 @@ Result<Table> CleanUp(const Table& rho, const SymbolVec& by_attrs,
     }
   }
 
-  // Fused merge pass, sparsity-aware: only the non-⊥ cells of rows in
-  // multi-member groups are visited, and each cell folds straight into its
-  // group's merged row; a conflict (two distinct non-⊥ values meeting in one
-  // column) disqualifies the group — merging requires a position-wise least
-  // common subsumer. Lazy all-⊥ chunks are skipped wholesale, and within
-  // materialized chunks 64-cell blocks whose raw handles OR to zero (⊥ is
-  // handle 0) are skipped with one vectorizable pass of loads.
+  // Merge pass: a group merges only if no column holds two distinct non-⊥
+  // values among its members — merging requires a position-wise least
+  // common subsumer. Columns are visited one at a time, so one (column,
+  // value) slot per group detects a conflict, and only non-⊥ cells of rows
+  // in multi-member groups are looked at.
   std::vector<uint8_t> mergeable(groups.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
     mergeable[g] = groups[g].size() >= 2 ? 1 : 0;
   }
-  std::vector<SymbolVec> merged_rows(groups.size());
-  std::vector<uint8_t> conflict(groups.size(), 0);
+  struct Seen {
+    size_t col = 0;  // 0: no non-⊥ cell in the current column yet.
+    Symbol value;
+  };
+  std::vector<Seen> seen(groups.size());
   for (size_t j = 1; j <= width; ++j) {
-    const core::Column& col = rho.DataColumn(j);
-    const size_t nch = col.num_chunks();
-    for (size_t c = 0; c < nch; ++c) {
-      const Symbol* p = col.ChunkData(c);
-      if (p == nullptr) continue;
-      const size_t len = col.ChunkLen(c);
-      const size_t base = 1 + c * core::Column::kChunkSize;
-      // The fold visits a cell only if its 64-block, then its 8-cell
-      // sub-block, ORs non-zero (⊥ is handle 0) — grouped tables are
-      // near-diagonal, so almost everything is skipped by the literal-
-      // count OR loops, which compile to straight vector code (a runtime
-      // trip count would not).
-      const auto fold_cell = [&](size_t idx) {
-        const Symbol v = p[idx];
-        if (v.is_null()) return;
-        const long g = row_group[base + idx];
-        if (g < 0 || !mergeable[g]) return;
-        SymbolVec& merged = merged_rows[g];
-        if (merged.empty()) merged.assign(1 + width, Symbol::Null());
-        Symbol& cell = merged[j];
-        if (cell.is_null()) {
-          cell = v;
-        } else if (cell != v) {
-          conflict[g] = 1;
-        }
-      };
-      size_t k = 0;
-      for (; k + 64 <= len; k += 64) {
-        uint32_t any = 0;
-        for (size_t t = 0; t < 64; ++t) any |= p[k + t].raw_id();
-        if (any == 0) continue;
-        for (size_t s8 = 0; s8 < 64; s8 += 8) {
-          uint32_t any8 = 0;
-          for (size_t t = 0; t < 8; ++t) any8 |= p[k + s8 + t].raw_id();
-          if (any8 == 0) continue;
-          for (size_t t = 0; t < 8; ++t) fold_cell(k + s8 + t);
-        }
+    rho.DataColumn(j).ForEachNonNull([&](size_t r, Symbol v) {
+      const long g = row_group[r + 1];
+      if (g < 0 || !mergeable[g]) return;
+      Seen& s = seen[g];
+      if (s.col != j) {
+        s = {j, v};
+      } else if (s.value != v) {
+        mergeable[g] = 0;
       }
-      for (; k < len; ++k) fold_cell(k);
-    }
-  }
-  std::vector<uint8_t> group_merged(groups.size(), 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (!mergeable[g] || conflict[g]) continue;
-    SymbolVec& merged = merged_rows[g];
-    if (merged.empty()) merged.assign(1 + width, Symbol::Null());
-    merged[0] = row_attrs[groups[g].front() - 1];
-    group_merged[g] = 1;
+    });
   }
 
-  // Output plan: pass-through rows keep their position; a merged group is
-  // emitted once, at its first member's position.
-  struct PlanEntry {
-    bool merged;
-    size_t idx;  // Source row (pass-through) or group id (merged).
-  };
-  std::vector<PlanEntry> plan;
-  plan.reserve(m);
+  // Output rows: pass-through rows keep their position; a merged group is
+  // emitted once, at its first member's position, and every member's cells
+  // land there (without a conflict they agree).
+  std::vector<size_t> out_pos(m);
+  std::vector<size_t> group_pos(groups.size());
+  SymbolVec out_row_attrs;
+  out_row_attrs.reserve(m);
   for (size_t i = 1; i <= m; ++i) {
     const long g = row_group[i];
-    if (g < 0 || !group_merged[g]) {
-      plan.push_back({false, i});
-    } else if (groups[g].front() == i) {
-      plan.push_back({true, static_cast<size_t>(g)});
+    if (g >= 0 && mergeable[g] && groups[g].front() != i) {
+      out_pos[i - 1] = group_pos[g];
+      continue;
     }
+    if (g >= 0) group_pos[g] = out_row_attrs.size();
+    out_pos[i - 1] = out_row_attrs.size();
+    out_row_attrs.push_back(row_attrs[i - 1]);
   }
+  const size_t out_m = out_row_attrs.size();
 
-  SymbolVec out_row_attrs;
-  out_row_attrs.reserve(plan.size());
-  for (const PlanEntry& e : plan) {
-    out_row_attrs.push_back(e.merged ? merged_rows[e.idx][0]
-                                     : row_attrs[e.idx - 1]);
-  }
-  // Emit per column through a reusable scratch buffer: one bulk AppendSpan
-  // per column instead of per-cell appends, and all-⊥ columns (common in
-  // sparse tabulars) stay fully lazy via AppendNulls.
+  // Emit per column by scattering the non-⊥ cells to their output rows. A
+  // sparse source gives an entry list (re-sorted, since a merged member may
+  // follow later pass-through rows, and de-duplicated); a dense one fills a
+  // reusable buffer flushed with one AppendSpan, and an all-⊥ column stays
+  // lazy via AppendNulls.
   std::vector<core::Column> data(width);
-  SymbolVec buf(plan.size());
-  const bool single_chunk = m <= core::Column::kChunkSize;
+  SymbolVec buf(out_m);
+  std::vector<core::Column::Entry> entries;
   for (size_t j = 1; j <= width; ++j) {
     const core::Column& src = rho.DataColumn(j);
-    uint32_t any = 0;
-    if (single_chunk) {
-      // All source rows live in chunk 0: hoist the pointer and gather by
-      // index instead of paying per-cell chunk resolution in Get.
-      const Symbol* p = src.ChunkData(0);
-      for (size_t r = 0; r < plan.size(); ++r) {
-        const PlanEntry& e = plan[r];
-        const Symbol v = e.merged ? merged_rows[e.idx][j]
-                         : p == nullptr ? Symbol::Null()
-                                        : p[e.idx - 1];
-        any |= v.raw_id();
-        buf[r] = v;
-      }
-    } else {
-      for (size_t r = 0; r < plan.size(); ++r) {
-        const PlanEntry& e = plan[r];
-        const Symbol v =
-            e.merged ? merged_rows[e.idx][j] : src.Get(e.idx - 1);
-        any |= v.raw_id();
-        buf[r] = v;
-      }
+    if (src.is_sparse()) {
+      entries.clear();
+      src.ForEachNonNull([&](size_t r, Symbol v) {
+        entries.push_back({out_pos[r], v});
+      });
+      std::sort(entries.begin(), entries.end(),
+                [](const core::Column::Entry& x, const core::Column::Entry& y) {
+                  return x.row < y.row;
+                });
+      // Entries sharing a row are a merged group's members: equal values.
+      entries.erase(std::unique(entries.begin(), entries.end()),
+                    entries.end());
+      data[j - 1] = core::Column::FromEntries(out_m, entries);
+      continue;
     }
-    if (any != 0) {
+    std::fill(buf.begin(), buf.end(), Symbol::Null());
+    bool any = false;
+    src.ForEachNonNull([&](size_t r, Symbol v) {
+      buf[out_pos[r]] = v;
+      any = true;
+    });
+    if (any) {
       data[j - 1].AppendSpan(buf.data(), buf.size());
     } else {
       data[j - 1].AppendNulls(buf.size());

@@ -90,8 +90,9 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
   // Output assembled columnar (DESIGN.md §11). The kept columns are a ⊥-pad
   // of a_n cells plus a chunk-level copy of the source column; each (input
   // row i, on-column c) pair contributes one mostly-⊥ output column whose
-  // only materialized cells are its a_n leading 𝒜-values and row i's data
-  // entry — lazy chunks keep that O(cells written), not O(height).
+  // only non-⊥ cells are its a_n leading 𝒜-values and row i's data entry.
+  // Built from those entries, a tall one takes the sparse form, so the work
+  // is O(cells written), not O(height).
   SymbolVec col_attrs(kept.size() + m * block);
   for (size_t c = 0; c < kept.size(); ++c) col_attrs[c] = rho.at(0, kept[c]);
   SymbolVec row_attrs;
@@ -112,25 +113,13 @@ Result<Table> Group(const Table& rho, const SymbolVec& by_attrs,
   }
   std::vector<const core::Column*> b_src(block);
   for (size_t c = 0; c < block; ++c) b_src[c] = &rho.DataColumn(b_cols[c]);
-  const bool single_chunk = a_n + m <= core::Column::kChunkSize;
-  SymbolVec a_vals(a_n);
+  std::vector<core::Column::Entry> entries(a_n + 1);
   for (size_t i = 0; i < m; ++i) {
-    for (size_t a = 0; a < a_n; ++a) a_vals[a] = a_src[a]->Get(i);
+    for (size_t a = 0; a < a_n; ++a) entries[a] = {a, a_src[a]->Get(i)};
     for (size_t c = 0; c < block; ++c) {
-      core::Column& col = data[kept.size() + i * block + c];
-      col.ResizeNull(a_n + m);
-      if (single_chunk) {
-        // The whole column is one chunk: materialize it once (all-⊥)
-        // and store the 𝒜-header and diagonal cell directly, skipping
-        // per-cell Set dispatch on this sharded-ingest hot path (⊥
-        // stores are no-ops on the fresh chunk, so no null checks).
-        Symbol* p = col.MutableChunkData(0);
-        for (size_t a = 0; a < a_n; ++a) p[a] = a_vals[a];
-        p[a_n + i] = b_src[c]->Get(i);
-      } else {
-        for (size_t a = 0; a < a_n; ++a) col.Set(a, a_vals[a]);
-        col.Set(a_n + i, b_src[c]->Get(i));
-      }
+      entries[a_n] = {a_n + i, b_src[c]->Get(i)};
+      data[kept.size() + i * block + c] =
+          core::Column::FromEntries(a_n + m, entries);
       col_attrs[kept.size() + i * block + c] = rho.at(0, b_cols[c]);
     }
   }
@@ -333,6 +322,7 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
         occ_cols[k] = &rho.DataColumn(occurrences[b][k]);
       }
       std::vector<const Symbol*> occ_chunk(nblocks, nullptr);
+      std::vector<std::vector<Symbol>> occ_scratch(nblocks);
       size_t s = 0;
       while (s < src.size()) {
         const size_t row0 = src[s] - 1;
@@ -343,8 +333,9 @@ Result<Table> Merge(const Table& rho, const SymbolVec& on_attrs,
           ++e;
         }
         for (size_t k = 0; k < nblocks; ++k) {
-          occ_chunk[k] =
-              occ_cols[k] == nullptr ? nullptr : occ_cols[k]->ChunkData(c0);
+          occ_chunk[k] = occ_cols[k] == nullptr
+                             ? nullptr
+                             : occ_cols[k]->ChunkView(c0, &occ_scratch[k]);
         }
         // The run is staged block-at-a-time: for each k the null check is
         // hoisted and the inner loop is contiguous loads from the source

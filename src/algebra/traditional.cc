@@ -134,12 +134,13 @@ Result<Table> CartesianProduct(const Table& rho, const Table& sigma,
   }
   // Whole columns are built from chunk runs of repeats/tiles via the bulk
   // appenders, so all-⊥ source chunks stay lazy in the product.
+  std::vector<Symbol> scratch;
   for (size_t j = 0; j < wr + ws; ++j) {
     core::Column col;
     if (j < wr) {
       const core::Column& src = rho.DataColumn(j + 1);
       for (size_t c = 0; c < src.num_chunks(); ++c) {
-        const Symbol* p = src.ChunkData(c);
+        const Symbol* p = src.ChunkView(c, &scratch);
         const size_t len = src.ChunkLen(c);
         if (p == nullptr) {
           col.AppendNulls(len * hs);
@@ -227,9 +228,11 @@ Result<Table> Select(const Table& rho, Symbol attr_a, Symbol attr_b,
   if (cols_a.size() == 1 && cols_b.size() == 1) {
     const core::Column& ca = rho.DataColumn(cols_a[0]);
     const core::Column& cb = rho.DataColumn(cols_b[0]);
+    std::vector<Symbol> sa;
+    std::vector<Symbol> sb;
     for (size_t c = 0; c < ca.num_chunks(); ++c) {
-      const Symbol* pa = ca.ChunkData(c);
-      const Symbol* pb = cb.ChunkData(c);
+      const Symbol* pa = ca.ChunkView(c, &sa);
+      const Symbol* pb = cb.ChunkView(c, &sb);
       const size_t base = c << core::Column::kChunkBits;
       const size_t len = ca.ChunkLen(c);
       if (pa == nullptr && pb == nullptr) {
@@ -265,8 +268,9 @@ Result<Table> SelectConstant(const Table& rho, Symbol attr, Symbol value,
   std::vector<size_t> rows;
   if (cols.size() == 1) {
     const core::Column& col = rho.DataColumn(cols[0]);
+    std::vector<Symbol> scratch;
     for (size_t c = 0; c < col.num_chunks(); ++c) {
-      const Symbol* p = col.ChunkData(c);
+      const Symbol* p = col.ChunkView(c, &scratch);
       const size_t base = c << core::Column::kChunkBits;
       const size_t len = col.ChunkLen(c);
       if (p == nullptr) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -53,8 +55,64 @@ Column::~Column() {
   }
 }
 
+Column Column::FromEntries(size_t n, std::span<const Entry> entries) {
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.row >= b.row;
+                            }) == entries.end());
+  assert(entries.empty() || entries.back().row < n);
+  const auto non_null = [](const Entry& e) { return !e.value.is_null(); };
+  const size_t count = std::count_if(entries.begin(), entries.end(), non_null);
+  Column col(n);
+  if (count * kSparseRatio <= n) {
+    col.entries_.reserve(count);
+    std::copy_if(entries.begin(), entries.end(),
+                 std::back_inserter(col.entries_), non_null);
+  } else {
+    for (const Entry& e : entries) col.Set(e.row, e.value);
+  }
+  return col;
+}
+
+namespace {
+
+using EntryIter = std::vector<Column::Entry>::const_iterator;
+
+/// First entry of the row-sorted range [from, end) at or after `row`.
+EntryIter EntryAtOrAfter(EntryIter from, EntryIter end, size_t row) {
+  return std::partition_point(
+      from, end, [row](const Column::Entry& e) { return e.row < row; });
+}
+
+}  // namespace
+
+Symbol Column::SparseGet(size_t i) const {
+  const EntryIter it = EntryAtOrAfter(entries_.begin(), entries_.end(), i);
+  return it != entries_.end() && it->row == i ? it->value : Symbol::Null();
+}
+
+const Symbol* Column::SparseChunk(size_t c,
+                                  std::vector<Symbol>* scratch) const {
+  const size_t base = c << kChunkBits;
+  EntryIter it = EntryAtOrAfter(entries_.begin(), entries_.end(), base);
+  const EntryIter end = EntryAtOrAfter(it, entries_.end(), base + kChunkSize);
+  if (it == end) return nullptr;
+  scratch->assign(ChunkLen(c), Symbol::Null());
+  for (; it != end; ++it) (*scratch)[it->row - base] = it->value;
+  return scratch->data();
+}
+
+void Column::Densify() {
+  const std::vector<Entry> entries = std::exchange(entries_, {});
+  for (const Entry& e : entries) Set(e.row, e.value);
+}
+
 void Column::ResizeNull(size_t n) {
   size_ = n;
+  if (!entries_.empty()) {
+    std::erase_if(entries_, [n](const Entry& e) { return e.row >= n; });
+    return;
+  }
   const size_t want = num_chunks();
   // Drop storage beyond the new span.
   const size_t keep_rest = want > 1 ? want - 1 : 0;
@@ -85,6 +143,7 @@ void Column::Append(Symbol s) {
     AppendNulls(1);  // Keeps lazy tails lazy.
     return;
   }
+  if (!entries_.empty()) Densify();
   const size_t c = size_ >> kChunkBits;
   const size_t off = size_ & kChunkMask;
   std::vector<Symbol>& ch = ChunkSlot(c);
@@ -99,7 +158,7 @@ void Column::AppendNulls(size_t n) {
     const size_t off = size_ & kChunkMask;
     const size_t take = std::min(n, kChunkSize - off);
     // A materialized tail keeps vector length == fill; lazy or absent
-    // chunks just extend the span.
+    // chunks, and the sparse form, just extend the span.
     std::vector<Symbol>* ch = nullptr;
     if (c == 0) {
       ch = &chunk0_;
@@ -117,6 +176,7 @@ void Column::AppendFill(Symbol v, size_t n) {
     AppendNulls(n);
     return;
   }
+  if (!entries_.empty()) Densify();
   while (n > 0) {
     const size_t c = size_ >> kChunkBits;
     const size_t off = size_ & kChunkMask;
@@ -130,6 +190,7 @@ void Column::AppendFill(Symbol v, size_t n) {
 }
 
 void Column::AppendSpan(const Symbol* p, size_t n) {
+  if (!entries_.empty()) Densify();
   while (n > 0) {
     const size_t c = size_ >> kChunkBits;
     const size_t off = size_ & kChunkMask;
@@ -144,11 +205,12 @@ void Column::AppendSpan(const Symbol* p, size_t n) {
 }
 
 void Column::AppendRange(const Column& src, size_t begin, size_t n) {
+  std::vector<Symbol> scratch;
   while (n > 0) {
     const size_t c = begin >> kChunkBits;
     const size_t off = begin & kChunkMask;
     const size_t take = std::min(n, src.ChunkLen(c) - off);
-    const Symbol* p = src.ChunkData(c);
+    const Symbol* p = src.ChunkView(c, &scratch);
     if (p == nullptr) {
       AppendNulls(take);
     } else {
@@ -165,9 +227,13 @@ void Column::AppendGather(const Column& src, const std::vector<size_t>& rows) {
 
 bool operator==(const Column& a, const Column& b) {
   if (a.size_ != b.size_) return false;
+  // Sparse entries are canonical (non-⊥, row-sorted, distinct).
+  if (a.is_sparse() && b.is_sparse()) return a.entries_ == b.entries_;
+  std::vector<Symbol> sa;
+  std::vector<Symbol> sb;
   for (size_t c = 0; c < a.num_chunks(); ++c) {
-    const Symbol* pa = a.ChunkData(c);
-    const Symbol* pb = b.ChunkData(c);
+    const Symbol* pa = a.ChunkView(c, &sa);
+    const Symbol* pb = b.ChunkView(c, &sb);
     if (pa == nullptr && pb == nullptr) continue;
     const size_t len = a.ChunkLen(c);
     if (pa == nullptr || pb == nullptr) {
@@ -313,14 +379,12 @@ SymbolSet Table::AllSymbols() const {
   out.insert(row_attrs_.begin(), row_attrs_.end());
   out.insert(col_attrs_.begin(), col_attrs_.end());
   for (const core::Column& col : data_) {
-    for (size_t c = 0; c < col.num_chunks(); ++c) {
-      const Symbol* p = col.ChunkData(c);
-      if (p == nullptr) {
-        out.insert(Symbol::Null());
-        continue;
-      }
-      out.insert(p, p + col.ChunkLen(c));
-    }
+    size_t non_null = 0;
+    col.ForEachNonNull([&](size_t, Symbol v) {
+      out.insert(v);
+      ++non_null;
+    });
+    if (non_null < col.size()) out.insert(Symbol::Null());
   }
   return out;
 }
@@ -369,29 +433,60 @@ bool Table::ColumnsSubsumeEachOther(const Table& rho, size_t j,
 }
 
 Table Table::Transposed() const {
-  Table out(num_cols_, num_rows_);
-  out.name_ = name_;
-  out.row_attrs_ = col_attrs_;
-  out.col_attrs_ = row_attrs_;
-  // Tile the data transpose so both the source column reads and the
-  // destination column writes stay within one chunk per tile row.
-  constexpr size_t kTile = 64;
   const size_t h = height();
   const size_t w = width();
-  for (size_t jb = 0; jb < w; jb += kTile) {
-    const size_t je = std::min(w, jb + kTile);
-    for (size_t ib = 0; ib < h; ib += kTile) {
-      const size_t ie = std::min(h, ib + kTile);
-      for (size_t j = jb; j < je; ++j) {
-        const core::Column& src = data_[j];
-        for (size_t i = ib; i < ie; ++i) {
-          Symbol s = src.Get(i);
-          if (!s.is_null()) out.data_[i].Set(j, s);
+  std::vector<core::Column> cols(h);
+  if (std::any_of(data_.begin(), data_.end(),
+                  [](const core::Column& c) { return c.is_sparse(); })) {
+    // Scatter the non-⊥ cells into one row-sorted entry run per output
+    // column (source columns are visited in order; a counting pass sizes
+    // the runs), so the work is proportional to the non-⊥ cells and sparse
+    // rows stay sparse.
+    std::vector<size_t> start(h + 1, 0);
+    for (const core::Column& col : data_) {
+      col.ForEachNonNull([&](size_t i, Symbol) { ++start[i + 1]; });
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<core::Column::Entry> entries(start[h]);
+    std::vector<size_t> next(start.begin(), start.end() - 1);
+    for (size_t j = 0; j < w; ++j) {
+      data_[j].ForEachNonNull(
+          [&](size_t i, Symbol v) { entries[next[i]++] = {j, v}; });
+    }
+    for (size_t i = 0; i < h; ++i) {
+      cols[i] = core::Column::FromEntries(
+          w, std::span(entries).subspan(start[i], start[i + 1] - start[i]));
+    }
+  } else {
+    // Dense: transpose one kTile × kTile block at a time through a buffer,
+    // so the source column reads stay within one chunk per tile row, then
+    // append each buffer row to its output column (which stays lazy where
+    // the row is all ⊥). Blocks are visited source-column-block major, so
+    // every output column is appended in order.
+    constexpr size_t kTile = 64;
+    SymbolVec tile(kTile * kTile);
+    for (size_t jb = 0; jb < w; jb += kTile) {
+      const size_t jn = std::min(w, jb + kTile) - jb;
+      for (size_t ib = 0; ib < h; ib += kTile) {
+        const size_t in = std::min(h, ib + kTile) - ib;
+        for (size_t j = 0; j < jn; ++j) {
+          const core::Column& src = data_[jb + j];
+          for (size_t i = 0; i < in; ++i) tile[i * kTile + j] = src.Get(ib + i);
+        }
+        for (size_t i = 0; i < in; ++i) {
+          const Symbol* row = tile.data() + i * kTile;
+          uint32_t any = 0;
+          for (size_t j = 0; j < jn; ++j) any |= row[j].raw_id();
+          if (any == 0) {
+            cols[ib + i].AppendNulls(jn);
+          } else {
+            cols[ib + i].AppendSpan(row, jn);
+          }
         }
       }
     }
   }
-  return out;
+  return FromColumns(name_, row_attrs_, col_attrs_, std::move(cols));
 }
 
 std::string Table::ToString() const {

@@ -3,7 +3,9 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,29 +15,48 @@
 
 namespace tabular::core {
 
-/// One data column of a `Table`, stored as fixed-size chunks of interned
-/// symbol handles (the dictionary codes of the process-wide symbol pool —
-/// a `Symbol` *is* its 4-byte dictionary handle, so a column is a flat
-/// dictionary-encoded vector in the column-store sense).
+/// One data column of a `Table`. It has two storage forms; which one a
+/// column is in cannot be observed through any read.
 ///
-/// Invariants:
+/// *Dense*: fixed-size chunks of interned symbol handles (the dictionary
+/// codes of the process-wide symbol pool — a `Symbol` *is* its 4-byte
+/// dictionary handle, so a dense column is a flat dictionary-encoded vector
+/// in the column-store sense). Invariants:
 ///   * every chunk except the last spans exactly `kChunkSize` cells; the
 ///     last spans `size() - (num_chunks() - 1) * kChunkSize`;
 ///   * a chunk is either *materialized* (its vector holds one handle per
 ///     cell) or *lazy* (an empty vector standing for an all-⊥ span).
-///
 /// Lazy chunks make all-⊥ construction O(size / kChunkSize): a fresh
-/// `Table(rows, cols)` allocates no cell storage at all, and sparse kernels
-/// (GROUP's one-value-per-column output) only materialize the chunks they
-/// write. `Set` of ⊥ into a lazy chunk is a no-op.
+/// `Table(rows, cols)` allocates no cell storage at all. `Set` of ⊥ into a
+/// lazy chunk is a no-op.
 ///
-/// Thread-safety: concurrent reads are wait-free (handle loads). A write
-/// may materialize a chunk, so writers need exclusive access.
+/// *Sparse*: a row-sorted vector of `(row, value)` entries, one per non-⊥
+/// cell, with ⊥ everywhere else and no chunk storage. GROUP gives every
+/// input row a column holding only its 𝒜-header and one value (paper §3.2),
+/// so its output, and CLEAN-UP's and `Table::Transposed`'s of it, would
+/// otherwise be a whole ⊥ chunk per column. Only `FromEntries` makes one.
+/// `Get` is a binary search; every write except `AppendNulls` and
+/// `ResizeNull` first converts the column to the dense form.
+///
+/// Thread-safety: no const member writes any state, so concurrent reads
+/// are safe. Writers need exclusive access.
 class Column {
  public:
   static constexpr size_t kChunkBits = 12;
   static constexpr size_t kChunkSize = size_t{1} << kChunkBits;  // 4096 cells
   static constexpr size_t kChunkMask = kChunkSize - 1;
+  /// `FromEntries` picks the sparse form when at most one cell in this many
+  /// is non-⊥. A 16-byte entry then costs at most a quarter of the 4-byte
+  /// dense cells it replaces, and a dense reader's `ChunkView` scatters at
+  /// most one entry per 16 cells it reads anyway.
+  static constexpr size_t kSparseRatio = 16;
+
+  /// One non-⊥ cell of a sparse column.
+  struct Entry {
+    size_t row;
+    Symbol value;
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
 
   Column() = default;
   /// An all-⊥ column of `n` cells (every chunk lazy) — O(1), no allocation.
@@ -46,23 +67,30 @@ class Column {
   Column& operator=(const Column&) = default;
   Column& operator=(Column&&) = default;
 
+  /// A column of `n` cells holding `entries` and ⊥ elsewhere. `entries`
+  /// must be sorted by strictly increasing row, each row < `n`; ⊥-valued
+  /// entries are skipped. The one place a storage form is chosen: sparse
+  /// when `entries.size() * kSparseRatio <= n` (non-⊥ entries counted),
+  /// dense otherwise. Only the sparse form copies `entries`, so callers
+  /// can build them in a reused buffer.
+  static Column FromEntries(size_t n, std::span<const Entry> entries);
+
   size_t size() const { return size_; }
   size_t num_chunks() const { return (size_ + kChunkSize - 1) >> kChunkBits; }
   /// Cells spanned by chunk `c`.
   size_t ChunkLen(size_t c) const {
     return c + 1 < num_chunks() ? kChunkSize : size_ - c * kChunkSize;
   }
+  bool is_sparse() const { return !entries_.empty(); }
 
   Symbol Get(size_t i) const {
-    const size_t c = i >> kChunkBits;
-    if (c == 0) {
-      return chunk0_.empty() ? Symbol::Null() : chunk0_[i & kChunkMask];
-    }
-    if (c - 1 >= rest_.size() || rest_[c - 1].empty()) return Symbol::Null();
-    return rest_[c - 1][i & kChunkMask];
+    const Symbol* p = DenseChunk(i >> kChunkBits);
+    if (p != nullptr) return p[i & kChunkMask];
+    return entries_.empty() ? Symbol::Null() : SparseGet(i);
   }
 
   void Set(size_t i, Symbol s) {
+    if (!entries_.empty()) Densify();
     const size_t c = i >> kChunkBits;
     std::vector<Symbol>* ch;
     if (c == 0) {
@@ -81,20 +109,51 @@ class Column {
     (*ch)[i & kChunkMask] = s;
   }
 
-  /// Chunk cells, or nullptr for a lazy (all-⊥) chunk.
-  const Symbol* ChunkData(size_t c) const {
-    if (c == 0) return chunk0_.empty() ? nullptr : chunk0_.data();
-    if (c - 1 >= rest_.size() || rest_[c - 1].empty()) return nullptr;
-    return rest_[c - 1].data();
-  }
-  /// Chunk cells for writing; materializes a lazy chunk (⊥-filled).
-  Symbol* MutableChunkData(size_t c) {
-    std::vector<Symbol>& ch = ChunkSlot(c);
-    if (ch.empty()) MaterializeChunk(ch, ChunkLen(c));
-    return ch.data();
+  /// The `ChunkLen(c)` cells of chunk `c`, or nullptr when every one is ⊥.
+  /// A dense column returns its own chunk; a sparse one writes the cells
+  /// into `*scratch` and returns its data. The pointer is valid until the
+  /// column is written or `*scratch` is reused.
+  const Symbol* ChunkView(size_t c, std::vector<Symbol>* scratch) const {
+    if (!entries_.empty()) return SparseChunk(c, scratch);
+    return DenseChunk(c);
   }
 
-  /// Grows (or shrinks) to `n` cells; new cells are ⊥ and lazy.
+  /// Calls `f(row, value)` for every non-⊥ cell, in row order. The dense
+  /// form skips lazy chunks and, within materialized ones, 64-cell and then
+  /// 8-cell blocks whose handles OR to zero (⊥ is handle 0); the literal
+  /// trip counts compile to straight vector code.
+  template <typename F>
+  void ForEachNonNull(F&& f) const {
+    if (!entries_.empty()) {
+      for (const Entry& e : entries_) f(e.row, e.value);
+      return;
+    }
+    for (size_t c = 0; c < num_chunks(); ++c) {
+      const Symbol* p = DenseChunk(c);
+      if (p == nullptr) continue;
+      const size_t len = ChunkLen(c);
+      const size_t base = c << kChunkBits;
+      const auto visit = [&](size_t k) {
+        if (!p[k].is_null()) f(base + k, p[k]);
+      };
+      size_t k = 0;
+      for (; k + 64 <= len; k += 64) {
+        uint32_t any = 0;
+        for (size_t t = 0; t < 64; ++t) any |= p[k + t].raw_id();
+        if (any == 0) continue;
+        for (size_t s8 = 0; s8 < 64; s8 += 8) {
+          uint32_t any8 = 0;
+          for (size_t t = 0; t < 8; ++t) any8 |= p[k + s8 + t].raw_id();
+          if (any8 == 0) continue;
+          for (size_t t = 0; t < 8; ++t) visit(k + s8 + t);
+        }
+      }
+      for (; k < len; ++k) visit(k);
+    }
+  }
+
+  /// Grows (or shrinks) to `n` cells; new cells are ⊥ (lazy, or simply
+  /// past a sparse column's last entry).
   void ResizeNull(size_t n);
 
   // -- Bulk builders (append at the tail) ------------------------------------
@@ -106,16 +165,26 @@ class Column {
   void AppendFill(Symbol v, size_t n);
   /// Appends the `n` cells at `p` (bulk memcpy into tail chunks).
   void AppendSpan(const Symbol* p, size_t n);
-  /// Appends cells [begin, begin + n) of `src` (chunk-level copies; lazy
+  /// Appends cells [begin, begin + n) of `src` (chunk-level copies; all-⊥
   /// source spans stay lazy when the destination is chunk-aligned).
   void AppendRange(const Column& src, size_t begin, size_t n);
   /// Appends `src.Get(r)` for every r in `rows`.
   void AppendGather(const Column& src, const std::vector<size_t>& rows);
 
-  /// Cell-wise equality (⊥-aware across lazy/materialized chunks).
+  /// Cell-wise equality, whatever the storage forms.
   friend bool operator==(const Column& a, const Column& b);
 
  private:
+  /// Dense chunk cells, or nullptr for a lazy (all-⊥) chunk.
+  const Symbol* DenseChunk(size_t c) const {
+    if (c == 0) return chunk0_.empty() ? nullptr : chunk0_.data();
+    if (c - 1 >= rest_.size() || rest_[c - 1].empty()) return nullptr;
+    return rest_[c - 1].data();
+  }
+  Symbol SparseGet(size_t i) const;
+  const Symbol* SparseChunk(size_t c, std::vector<Symbol>* scratch) const;
+  /// Rewrites a sparse column in the dense form.
+  void Densify();
   /// The chunk-`c` slot, created (lazy) if the storage doesn't reach it yet.
   std::vector<Symbol>& ChunkSlot(size_t c) {
     if (c == 0) return chunk0_;
@@ -132,12 +201,15 @@ class Column {
   // cells; a materialized tail chunk holds exactly its fill (= ChunkLen).
   // `rest_` may be *shorter* than num_chunks() - 1 — missing entries, like
   // empty vectors, stand for lazy all-⊥ spans, so an all-⊥ column of any
-  // size allocates nothing at all.
+  // size allocates nothing at all. A column is sparse exactly when
+  // `entries_` is non-empty; it then has no chunk storage, and its entries
+  // are non-⊥, row-sorted, distinct and below `size_`.
   size_t size_ = 0;
   std::vector<Symbol> chunk0_;             // Chunk 0, inline (the common
                                            // single-chunk column needs no
                                            // chunk-table allocation).
   std::vector<std::vector<Symbol>> rest_;  // Chunks 1... (possibly short).
+  std::vector<Entry> entries_;             // The sparse form's cells.
 };
 
 /// A table of the tabular database model (paper §2, Figure 2).

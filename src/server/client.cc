@@ -93,11 +93,16 @@ Status Client::ErrorStatus(const std::string& payload) {
 
 Result<std::string> Client::RoundTrip(const std::string& payload) {
   if (fd_ < 0) return Status::Internal("client is not connected");
-  TABULAR_RETURN_NOT_OK(WriteFrame(fd_, payload));
+  const Status sent = WriteFrame(fd_, payload);
+  // An oversized payload was never sent, so no answer can come.
+  if (sent.code() == StatusCode::kInvalidArgument) return sent;
+  // A failed send still reads: a server refusing the session writes an
+  // error frame and closes, so the request can meet a closed or reset
+  // socket while that frame waits unread.
   Result<std::optional<std::string>> frame = ReadFrame(fd_);
-  if (!frame.ok()) return frame.status();
+  if (!frame.ok()) return sent.ok() ? frame.status() : sent;
   if (!frame->has_value()) {
-    return Status::Internal("server closed the connection");
+    return sent.ok() ? Status::Internal("server closed the connection") : sent;
   }
   return std::move(**frame);
 }

@@ -211,11 +211,22 @@ void Server::AcceptLoop() {
 
     int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
-    if (ShutdownRequested() ||
-        sessions_active_.load(std::memory_order_relaxed) >=
-            options_.max_sessions) {
-      // Draining or over capacity: refuse by closing immediately.
+    if (ShutdownRequested()) {
+      // Draining: refuse by closing immediately.
       refused.Add(1);
+      ::close(fd);
+      continue;
+    }
+    if (sessions_active_.load(std::memory_order_relaxed) >=
+        options_.max_sessions) {
+      // Over capacity: an error frame first tells the client why, so its
+      // first request reads the refusal instead of a bare reset.
+      refused.Add(1);
+      (void)WriteFrame(fd, EncodeError(ErrorResponse{
+                               StatusCode::kResourceExhausted,
+                               "session limit " +
+                                   std::to_string(options_.max_sessions) +
+                                   " reached"}));
       ::close(fd);
       continue;
     }

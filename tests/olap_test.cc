@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/cleanup.h"
+#include "algebra/restructure.h"
 #include "core/compare.h"
 #include "core/sales_data.h"
 #include "olap/hierarchy.h"
@@ -130,6 +132,27 @@ TEST(PivotTest, HashBaselineOnSynthetic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(h.ok());
   EXPECT_TABLE_EQUIV(*a, *h);
+}
+
+TEST(PivotTest, HashBaselineAgreesWithGroupCleanPurgeOfSparseColumns) {
+  // Figure 1's SalesInfo1 → SalesInfo2 at the benchmark's scale: GROUP's
+  // per-row columns, and CLEAN-UP's and PURGE's tables built from them,
+  // take the sparse form here.
+  Table flat = fixtures::SyntheticSales(300, 16);
+  auto grouped =
+      algebra::Group(flat, {N("Region")}, {N("Sold")}, N("Sales"));
+  ASSERT_TRUE(grouped.ok());
+  EXPECT_TRUE(grouped->DataColumn(grouped->width()).is_sparse());
+  auto cleaned = algebra::CleanUp(*grouped, {N("Part")}, {NUL()}, N("Sales"));
+  ASSERT_TRUE(cleaned.ok());
+  auto pivoted =
+      algebra::Purge(*cleaned, {N("Sold")}, {N("Region")}, N("Sales"));
+  ASSERT_TRUE(pivoted.ok());
+  auto facts = rel::TableToRelation(flat);
+  ASSERT_TRUE(facts.ok());
+  auto h = PivotHash(*facts, N("Part"), N("Region"), N("Sold"), N("Sales"));
+  ASSERT_TRUE(h.ok());
+  EXPECT_TABLE_EQUIV(*pivoted, *h);
 }
 
 TEST(PivotTest, ConflictingCellsRejected) {

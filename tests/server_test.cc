@@ -16,8 +16,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -703,6 +705,45 @@ TEST(ServerTest, ShutdownRefusesNewSessionsAndDrains) {
 
   live.server->Shutdown();
   EXPECT_EQ(live.server->Stats().sessions_active, 0u);
+}
+
+// A session over `max_sessions` gets an error frame naming the limit. The
+// refused client waits before its request so that the server has most
+// likely written that frame and closed: the request then meets a closed
+// socket (a reset over TCP, a failed send over a unix socket), and the
+// client must still read the frame.
+void ExpectSecondSessionRefused(ServerOptions options,
+                                const std::function<Client(Server&)>& connect) {
+  options.max_sessions = 1;
+  LiveServer live(Db(kSalesFlat), std::move(options));
+  Client first = connect(*live.server);
+  ASSERT_TRUE(first.Ping().ok());
+  Client second = connect(*live.server);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const Status refused = second.Ping();
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted)
+      << refused.ToString();
+  EXPECT_EQ(refused.message(), "session limit 1 reached");
+  EXPECT_TRUE(first.Ping().ok());
+}
+
+TEST(ServerTest, SessionsOverTheLimitAreRefusedWithAnErrorFrame) {
+  ExpectSecondSessionRefused({}, [](Server& server) {
+    auto client = Client::ConnectTcp("127.0.0.1", server.port());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(*client);
+  });
+  ServerOptions over_unix;
+  over_unix.unix_path = (std::filesystem::temp_directory_path() /
+                         ("tabular_server_test_" +
+                          std::to_string(::getpid()) + ".sock"))
+                            .string();
+  ExpectSecondSessionRefused(over_unix, [&](Server&) {
+    auto client = Client::ConnectUnix(over_unix.unix_path);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(*client);
+  });
+  std::filesystem::remove(over_unix.unix_path);
 }
 
 TEST(ServerTest, ClientShutdownRequestDrainsTheServer) {
