@@ -2,8 +2,7 @@
 """Validates Prometheus text exposition output (format 0.0.4).
 
 Checks the output of `obs::RenderPrometheus()` — served by `tabulard
---metrics-port` at GET /metrics and by `tabular_cli metrics --prom` —
-for structural correctness:
+--metrics-port` at GET /metrics — for structural correctness:
 
   * every sample line belongs to a metric introduced by a `# TYPE` line,
     and metric names match [a-zA-Z_:][a-zA-Z0-9_:]*

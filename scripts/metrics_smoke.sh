@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# End-to-end smoke for tabulard's request-scoped observability (PR 8):
+# End-to-end smoke for tabulard's request-scoped observability:
 #
 #   1. Start tabulard with --metrics-port 0 and --slow-ms 0 (log every
 #      request) on an ephemeral TCP port; discover both ports from the
@@ -8,8 +8,8 @@
 #      with per-operator instantiation and row counts plus counter deltas.
 #   3. `tabular_cli slowlog` must show the profiled request (cache status,
 #      rows, session/request ids).
-#   4. `tabular_cli metrics --prom` and a plain-HTTP GET of /metrics must
-#      both pass scripts/check_prometheus.py, including the
+#   4. A plain-HTTP GET of /metrics (the only Prometheus path) must pass
+#      scripts/check_prometheus.py, including the
 #      tabular_server_request_latency histogram.
 #   5. SIGTERM the daemon and assert it drains and exits 0.
 #
@@ -87,14 +87,7 @@ grep -q "prog=" "$WORK/slowlog.out" \
 grep -q "rows=8->" "$WORK/slowlog.out" \
   || fail "slow-query entry lacks snapshot row counts"
 
-# 4. Prometheus exposition: over the wire and over HTTP, both validated.
-"$CLI_BIN" --connect "$ENDPOINT" metrics --prom > "$WORK/wire.prom" \
-  || fail "tabular_cli metrics --prom failed"
-python3 "$CHECK_PROM" --file "$WORK/wire.prom" \
-  --expect tabular_server_requests \
-  --expect tabular_server_request_latency \
-  || fail "wire exposition failed check_prometheus.py"
-
+# 4. Prometheus exposition over HTTP, validated.
 python3 "$CHECK_PROM" --url "$METRICS_URL" \
   --expect tabular_server_requests \
   --expect tabular_server_request_latency \
@@ -109,4 +102,4 @@ DAEMON_PID=""
 
 rm -rf "$WORK"
 echo "metrics_smoke: OK: profile tree, slow-query log, and validated" \
-     "Prometheus exposition over wire and HTTP"
+     "Prometheus exposition over HTTP"

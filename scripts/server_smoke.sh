@@ -11,7 +11,8 @@
 #      restructuring program — statically unbounded through MERGE — must
 #      now be refused before execution, while a bounded program still runs.
 #   6. Every malformed numeric flag or variable stops tabulard at startup
-#      with exit 2 and an error naming it.
+#      with exit 2 and an error naming it; so does a malformed
+#      `tabular_cli --connect` port.
 #
 # Usage: scripts/server_smoke.sh <build-dir>
 
@@ -138,6 +139,10 @@ refused --slow-ms "${BAD_START[@]}" --slow-ms x
 refused --metrics-port "${BAD_START[@]}" --metrics-port 70000
 refused --listen "${BAD_START[@]}" --listen 127.0.0.1:70000
 refused --listen "${BAD_START[@]}" --listen 127.0.0.1:http
+# The client parses its port as strictly: a wrapped 70000 would dial 4464,
+# and a service name would dial port 0.
+refused --connect timeout 10 "$CLI_BIN" --connect 127.0.0.1:70000 ping
+refused --connect timeout 10 "$CLI_BIN" --connect 127.0.0.1:http ping
 
 rm -rf "$WORK"
 echo "server_smoke: OK: server output byte-identical to single-shot golden," \

@@ -159,16 +159,13 @@ Status Interpreter::Run(const Program& program, TabularDatabase* db) {
 
   // The rewrite engine runs on the analyzed original (gating above sees
   // the user's statement numbering); the rewritten program is what
-  // executes. Each kept rewrite is validator-certified unless
-  // `validate_rewrites` was turned off.
+  // executes. Each kept rewrite is validator-certified.
   const Program* to_run = &program;
   Program optimized;
   if (options_.optimize) {
-    OptimizerOptions opt;
-    opt.validate_rewrites = options_.validate_rewrites;
     optimized =
         OptimizeProgram(program, analysis::AbstractDatabase::FromDatabase(*db),
-                        opt, &optimize_stats_);
+                        {}, &optimize_stats_);
     to_run = &optimized;
   }
 

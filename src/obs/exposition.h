@@ -27,9 +27,8 @@ namespace tabular::obs {
 ///   tabular_server_request_latency_sum 40635
 ///   tabular_server_request_latency_count 128
 ///
-/// Served over the wire by `tabulard` (`tabular_cli metrics --prom`) and by
-/// the plain-HTTP GET /metrics responder behind `tabulard --metrics-port`;
-/// scripts/check_prometheus.py validates the format in CI.
+/// Served by the plain-HTTP GET /metrics responder behind `tabulard
+/// --metrics-port`; scripts/check_prometheus.py validates the format in CI.
 
 /// `name` with non-[a-zA-Z0-9_] characters replaced by '_' and the
 /// "tabular_" exposition prefix prepended.

@@ -57,10 +57,7 @@ Result<Client> Client::ConnectUnix(const std::string& path) {
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(other.fd_),
-      negotiation_done_(other.negotiation_done_),
-      negotiated_(other.negotiated_),
-      next_request_id_(other.next_request_id_) {
+    : fd_(other.fd_), next_request_id_(other.next_request_id_) {
   other.fd_ = -1;
 }
 
@@ -68,8 +65,6 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    negotiation_done_ = other.negotiation_done_;
-    negotiated_ = other.negotiated_;
     next_request_id_ = other.next_request_id_;
     other.fd_ = -1;
   }
@@ -119,36 +114,6 @@ Status Client::Ping() {
   return ExpectOk(resp);
 }
 
-Result<PingResponse> Client::Negotiate() {
-  PingRequest req;
-  req.has_features = true;
-  req.features = kServerFeatures;
-  TABULAR_ASSIGN_OR_RETURN(std::string resp,
-                           RoundTrip(EncodePingRequest(req)));
-  if (!resp.empty() && resp[0] == static_cast<char>(MsgType::kError)) {
-    return ErrorStatus(resp);
-  }
-  PingResponse pong;
-  TABULAR_RETURN_NOT_OK(DecodePingResponse(resp, &pong));
-  negotiated_ = pong;
-  negotiation_done_ = true;
-  return pong;
-}
-
-Status Client::EnsureNegotiated(uint8_t required) {
-  if (!negotiation_done_) {
-    TABULAR_RETURN_NOT_OK(Negotiate().status());
-  }
-  if ((negotiated_.features & required) != required) {
-    return Status::InvalidArgument(
-        "server (protocol version " +
-        std::to_string(negotiated_.protocol_version) +
-        ") did not grant the required feature bits " +
-        std::to_string(required));
-  }
-  return Status::OK();
-}
-
 Result<RunResponse> Client::RunInternal(const std::string& program,
                                         bool commit, bool want_dump,
                                         bool profile) {
@@ -157,9 +122,7 @@ Result<RunResponse> Client::RunInternal(const std::string& program,
   req.commit = commit;
   req.want_dump = want_dump;
   req.profile = profile;
-  if ((negotiated_.features & kFeatureRequestIds) != 0) {
-    req.request_id = next_request_id_++;
-  }
+  req.request_id = next_request_id_++;
   TABULAR_ASSIGN_OR_RETURN(std::string resp,
                            RoundTrip(EncodeRunRequest(req)));
   if (!resp.empty() && resp[0] == static_cast<char>(MsgType::kError)) {
@@ -172,17 +135,11 @@ Result<RunResponse> Client::RunInternal(const std::string& program,
 
 Result<RunResponse> Client::Run(const std::string& program, bool commit,
                                 bool want_dump) {
-  // Negotiate lazily so runs carry request ids when the server supports
-  // them; a failed negotiation (e.g. a half-dead socket) surfaces here.
-  if (!negotiation_done_) {
-    TABULAR_RETURN_NOT_OK(Negotiate().status());
-  }
   return RunInternal(program, commit, want_dump, /*profile=*/false);
 }
 
 Result<RunResponse> Client::Profile(const std::string& program,
                                     bool commit) {
-  TABULAR_RETURN_NOT_OK(EnsureNegotiated(kFeatureProfile));
   return RunInternal(program, commit, /*want_dump=*/false,
                      /*profile=*/true);
 }
@@ -244,18 +201,7 @@ Result<std::string> Client::Metrics() {
   return DecodeOkString(resp);
 }
 
-Result<std::string> Client::MetricsProm() {
-  TABULAR_RETURN_NOT_OK(EnsureNegotiated(kFeaturePrometheus));
-  TABULAR_ASSIGN_OR_RETURN(
-      std::string resp, RoundTrip(EncodeBareRequest(MsgType::kMetricsProm)));
-  if (!resp.empty() && resp[0] == static_cast<char>(MsgType::kError)) {
-    return ErrorStatus(resp);
-  }
-  return DecodeOkString(resp);
-}
-
 Result<SlowLogResponse> Client::SlowLog() {
-  TABULAR_RETURN_NOT_OK(EnsureNegotiated(kFeatureSlowLog));
   TABULAR_ASSIGN_OR_RETURN(
       std::string resp, RoundTrip(EncodeBareRequest(MsgType::kSlowLog)));
   if (!resp.empty() && resp[0] == static_cast<char>(MsgType::kError)) {

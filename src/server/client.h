@@ -24,34 +24,21 @@ class Client {
   Client& operator=(const Client&) = delete;
   ~Client();
 
-  /// Liveness check (the version-1 empty-body ping; works on any server).
+  /// Liveness check (an empty-body ping answered with an empty kOk).
   Status Ping();
-
-  /// Feature negotiation: offers the client's full feature set over kPing
-  /// and records what the server granted. Called lazily by every method
-  /// that depends on a feature; explicit calls are only needed to inspect
-  /// the result. Against a version-1 server this degrades to a plain ping
-  /// and grants nothing.
-  Result<PingResponse> Negotiate();
-  /// Features granted by the last negotiation (0 before one happened).
-  uint8_t features() const { return negotiated_.features; }
-  /// Server protocol version from the last negotiation (0 before one).
-  uint32_t protocol_version() const { return negotiated_.protocol_version; }
 
   /// Executes `program` on the server. With `commit` (the default) the
   /// result becomes the new current version; without it the run is a
   /// read-only query against the pinned snapshot. Server-side failures
   /// (parse, analysis, runtime, commit conflict) come back as the error
-  /// Status with the server's code. When the server granted
-  /// kFeatureRequestIds, each run carries a client-assigned request id
-  /// (a session-local counter) that the server's trace spans and slow-log
-  /// entries echo back.
+  /// Status with the server's code. Each run carries a client-assigned
+  /// request id (a session-local counter) that the server's trace spans
+  /// and slow-log entries echo back.
   Result<RunResponse> Run(const std::string& program, bool commit = true,
                           bool want_dump = false);
 
   /// Run with server-side instrumentation: the response carries the
   /// rendered profile tree and the per-operator counter deltas as JSON.
-  /// Requires the server to grant kFeatureProfile.
   Result<RunResponse> Profile(const std::string& program,
                               bool commit = false);
 
@@ -68,10 +55,7 @@ class Client {
   Result<std::string> Stats();
   /// The server's obs metrics registry as JSON.
   Result<std::string> Metrics();
-  /// The server's metrics in Prometheus text exposition format. Requires
-  /// kFeaturePrometheus.
-  Result<std::string> MetricsProm();
-  /// Drains the server's slow-query log. Requires kFeatureSlowLog.
+  /// Drains the server's slow-query log.
   Result<SlowLogResponse> SlowLog();
   /// Asks the server to shut down gracefully (it still answers this).
   Status Shutdown();
@@ -87,14 +71,10 @@ class Client {
   Status ExpectOk(const std::string& payload);
   /// Turns a kError payload into its Status.
   static Status ErrorStatus(const std::string& payload);
-  /// Negotiates once per connection; verifies `required` was granted.
-  Status EnsureNegotiated(uint8_t required);
   Result<RunResponse> RunInternal(const std::string& program, bool commit,
                                   bool want_dump, bool profile);
 
   int fd_ = -1;
-  bool negotiation_done_ = false;
-  PingResponse negotiated_{0, 0};
   uint64_t next_request_id_ = 1;
 };
 

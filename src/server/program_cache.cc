@@ -78,10 +78,8 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Compile(
   }
 
   if (options_.optimize) {
-    lang::OptimizerOptions opt;
-    opt.validate_rewrites = options_.validate_rewrites;
-    compiled->optimized = lang::OptimizeProgram(
-        compiled->parsed, coarse, opt, &compiled->optimize_stats);
+    compiled->optimized = lang::OptimizeProgram(compiled->parsed, coarse, {},
+                                                &compiled->optimize_stats);
   }
   return compiled;
 }
@@ -94,16 +92,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::Get(
   static obs::Counter& evictions =
       obs::GetCounter("server.program_cache.evictions");
   static obs::Gauge& size_gauge = obs::GetGauge("server.program_cache.size");
-
-  if (options_.capacity == 0) {
-    misses.Add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++misses_;
-    }
-    if (hit != nullptr) *hit = false;
-    return Compile(text, db);
-  }
 
   const std::string key = SchemaFingerprint(db) + '\0' + text;
   {

@@ -61,9 +61,10 @@ std::string SchemaFingerprint(const core::TabularDatabase& db);
 class ProgramCache {
  public:
   struct Options {
-    size_t capacity = 128;        ///< entries; 0 disables caching
+    /// Entries; with 0 every lookup compiles, and each miss's entry is
+    /// evicted at once.
+    size_t capacity = 128;
     bool optimize = true;         ///< run the certified rewrite engine
-    bool validate_rewrites = true;
   };
 
   explicit ProgramCache(Options options);

@@ -18,7 +18,7 @@
 #include "analysis/cost.h"
 #include "analysis/shape.h"
 #include "io/grid_format.h"
-#include "obs/exposition.h"
+#include "lang/interpreter.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -332,17 +332,13 @@ std::string Server::HandleRequest(const std::string& payload,
     return error(StatusCode::kParseError, "empty payload");
   }
   switch (static_cast<MsgType>(static_cast<uint8_t>(payload[0]))) {
-    case MsgType::kPing: {
-      PingRequest ping;
-      Status parsed = DecodePingRequest(payload, &ping);
-      if (!parsed.ok()) return error(parsed.code(), parsed.message());
-      if (!ping.has_features) return EncodeOkEmpty();  // version-1 ping
-      PingResponse pong;
-      pong.features =
-          static_cast<uint8_t>(ping.features & options_.feature_mask);
-      pong.protocol_version = kProtocolVersion;
-      return EncodePingResponse(pong);
-    }
+    case MsgType::kPing:
+      if (payload.size() > 1) {
+        return error(StatusCode::kParseError,
+                     std::to_string(payload.size() - 1) +
+                         " trailing byte(s) after message body");
+      }
+      return EncodeOkEmpty();
     case MsgType::kRun:
       return HandleRun(payload, &root, audit);
     case MsgType::kSlowLog: {
@@ -352,8 +348,6 @@ std::string Server::HandleRequest(const std::string& payload,
       resp.dropped = slow_log_.dropped();
       return EncodeSlowLogResponse(resp);
     }
-    case MsgType::kMetricsProm:
-      return EncodeOkString(obs::RenderPrometheus());
     case MsgType::kDump: {
       Snapshot snap = versions_->Current();
       std::string out;
@@ -471,11 +465,11 @@ std::string Server::HandleRun(const std::string& payload,
   // the snapshot (pointer copies), and the interpreter only adds and
   // removes whole tables, so the snapshot itself never changes. The front
   // end already ran (analysis and certified rewrites are part of the
-  // cached compile), so the interpreter runs the compiled form directly.
+  // cached compile), so the interpreter runs the compiled form directly
+  // under the default guard limits.
   core::TabularDatabase work = *snap.db;
-  lang::InterpreterOptions interp = options_.interp;
+  lang::InterpreterOptions interp;
   interp.analyze_first = false;
-  interp.optimize = false;
   interp.profile = req.profile;
   std::map<std::string, uint64_t> counters_before;
   if (req.profile) counters_before = CounterValues();

@@ -12,7 +12,6 @@
 
 #include "core/database.h"
 #include "core/status.h"
-#include "lang/interpreter.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "server/metrics_http.h"
@@ -31,8 +30,6 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Compiled-program cache size (entries) and front-end behavior.
   ProgramCache::Options cache;
-  /// Resource guards applied to every request's execution.
-  lang::InterpreterOptions interp;
   /// Seconds Shutdown() waits for in-flight requests before force-closing
   /// the remaining connections.
   double drain_seconds = 5.0;
@@ -42,10 +39,6 @@ struct ServerOptions {
   /// `obs::QueryLog::kDisabled` turns the log off. The daemon maps
   /// `--slow-ms` / `TABULAR_SLOW_MS` onto this.
   uint64_t slow_query_micros = 100000;
-  /// Features this server negotiates (intersected with the client's ping
-  /// byte). Defaults to everything; tests set 0 to impersonate a
-  /// version-1 server.
-  uint8_t feature_mask = kServerFeatures;
   /// Prometheus /metrics HTTP port: -1 disables the endpoint, 0 picks an
   /// ephemeral port (read it back with `metrics_port()`).
   int metrics_port = -1;

@@ -109,48 +109,6 @@ constexpr uint8_t kRunRespProfileExt = 1;
 
 }  // namespace
 
-std::string EncodePingRequest(const PingRequest& req) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgType::kPing));
-  if (req.has_features) PutU8(&out, req.features);
-  return out;
-}
-
-Status DecodePingRequest(std::string_view payload, PingRequest* req) {
-  WireCursor cur(payload);
-  TABULAR_RETURN_NOT_OK(ExpectType(&cur, MsgType::kPing));
-  if (cur.AtEnd()) {
-    req->has_features = false;
-    req->features = 0;
-    return Status::OK();
-  }
-  req->has_features = true;
-  TABULAR_RETURN_NOT_OK(cur.GetU8(&req->features));
-  return cur.ExpectEnd();
-}
-
-std::string EncodePingResponse(const PingResponse& resp) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgType::kOk));
-  PutU8(&out, resp.features);
-  PutU32(&out, resp.protocol_version);
-  return out;
-}
-
-Status DecodePingResponse(std::string_view payload, PingResponse* resp) {
-  WireCursor cur(payload);
-  TABULAR_RETURN_NOT_OK(ExpectType(&cur, MsgType::kOk));
-  if (cur.AtEnd()) {
-    // A version-1 server's empty kOk: no features, no negotiation.
-    resp->features = 0;
-    resp->protocol_version = 1;
-    return Status::OK();
-  }
-  TABULAR_RETURN_NOT_OK(cur.GetU8(&resp->features));
-  TABULAR_RETURN_NOT_OK(cur.GetU32(&resp->protocol_version));
-  return cur.ExpectEnd();
-}
-
 std::string EncodeRunRequest(const RunRequest& req) {
   std::string out;
   PutU8(&out, static_cast<uint8_t>(MsgType::kRun));
@@ -194,9 +152,9 @@ std::string EncodeRunResponse(const RunResponse& resp) {
   PutU32(&out, resp.rewrites_applied);
   PutU32(&out, resp.rewrites_rejected);
   PutString(&out, resp.dump);
-  // The profile extension trails the version-1 body behind a marker byte
-  // and is only emitted when the request carried kFlagProfile, so clients
-  // that did not ask (version-1 clients cannot) get byte-identical frames.
+  // The profile extension trails the body behind a marker byte and is
+  // only emitted when the request carried kFlagProfile, so a plain run's
+  // response has no profile bytes at all.
   if (resp.has_profile) {
     PutU8(&out, kRunRespProfileExt);
     PutString(&out, resp.profile_text);

@@ -31,28 +31,9 @@ namespace tabular::server {
 
 constexpr uint32_t kMaxFramePayload = 64u << 20;  // 64 MiB
 
-/// Protocol revision. Version 2 adds feature negotiation over kPing (a
-/// client feature byte in the ping body, echoed back with the negotiated
-/// set), request-scoped run flags (profile, client-assigned request ids),
-/// and the kSlowLog/kMetricsProm requests. Version-1 peers interoperate
-/// unchanged: their empty pings get the legacy empty kOk, their run frames
-/// carry no new flags, and their responses are byte-identical.
-constexpr uint32_t kProtocolVersion = 2;
-
-/// Capability bits negotiated over kPing. A version-1 peer implicitly has
-/// none. The server answers with the intersection of the client's bits and
-/// its own mask, so either side can be configured down for compatibility
-/// testing.
-constexpr uint8_t kFeatureRequestIds = 1;  ///< kRun may carry a request id
-constexpr uint8_t kFeatureProfile = 2;     ///< kRun may ask for a profile
-constexpr uint8_t kFeatureSlowLog = 4;     ///< kSlowLog is understood
-constexpr uint8_t kFeaturePrometheus = 8;  ///< kMetricsProm is understood
-constexpr uint8_t kServerFeatures = kFeatureRequestIds | kFeatureProfile |
-                                    kFeatureSlowLog | kFeaturePrometheus;
-
 enum class MsgType : uint8_t {
   // Requests.
-  kPing = 1,      ///< body: empty | u8 features   → Ok: empty | Negotiation
+  kPing = 1,      ///< body: empty                 → Ok: empty
   kRun = 2,       ///< body: RunRequest            → Ok: RunResponse
   kDump = 3,      ///< body: empty                 → Ok: u64 version, str db
   kTables = 4,    ///< body: empty                 → Ok: str (one name/line)
@@ -60,26 +41,10 @@ enum class MsgType : uint8_t {
   kMetrics = 6,   ///< body: empty                 → Ok: str JSON
   kShutdown = 7,  ///< body: empty                 → Ok: empty; server drains
   kSlowLog = 8,   ///< body: empty                 → Ok: SlowLogResponse
-  kMetricsProm = 9,  ///< body: empty              → Ok: str Prometheus text
 
   // Responses.
   kOk = 64,
   kError = 65,
-};
-
-/// kPing body (version ≥ 2): the features the client can use. The legacy
-/// empty body means "no features".
-struct PingRequest {
-  bool has_features = false;  ///< false: version-1 empty-body ping
-  uint8_t features = 0;
-};
-
-/// kOk answer to a feature-carrying ping: the negotiated feature set (an
-/// intersection — never more than the client offered) plus the server's
-/// protocol revision. Legacy pings get the legacy empty kOk instead.
-struct PingResponse {
-  uint8_t features = 0;
-  uint32_t protocol_version = kProtocolVersion;
 };
 
 /// Execute a TA program on the server.
@@ -144,17 +109,10 @@ class WireCursor {
 
 /// Full payloads (type byte + body). Decoders check the type byte.
 ///
-/// Backward compatibility is structural: every version-2 addition is either
-/// behind a run-flag bit (request id), an optional trailing extension that
-/// is only emitted when the request asked for it (profile), or a new
-/// message type — so a version-1 encoder's bytes still decode, and a
-/// version-1 decoder never sees bytes it cannot parse.
-std::string EncodePingRequest(const PingRequest& req);
-Status DecodePingRequest(std::string_view payload, PingRequest* req);
-std::string EncodePingResponse(const PingResponse& resp);
-/// Accepts both the negotiated form and the legacy empty kOk (which
-/// decodes as features = 0, protocol_version = 1).
-Status DecodePingResponse(std::string_view payload, PingResponse* resp);
+/// Per-request options cost nothing when unused: a request id rides behind
+/// its run-flag bit, and the profile is a trailing response extension
+/// emitted only when the request asked for it, so a plain run's request
+/// and response carry no bytes for either.
 std::string EncodeRunRequest(const RunRequest& req);
 Status DecodeRunRequest(std::string_view payload, RunRequest* req);
 std::string EncodeRunResponse(const RunResponse& resp);

@@ -786,47 +786,10 @@ std::string HttpGet(uint16_t port, std::string_view request) {
   return response;
 }
 
-TEST(ServerObsTest, NegotiationGrantsTheFullFeatureSet) {
-  LiveServer live;
-  Client client = live.Connect();
-  EXPECT_EQ(client.features(), 0);  // nothing before negotiation
-  auto negotiated = client.Negotiate();
-  ASSERT_TRUE(negotiated.ok()) << negotiated.status().ToString();
-  EXPECT_EQ(negotiated->features, kServerFeatures);
-  EXPECT_EQ(negotiated->protocol_version, kProtocolVersion);
-  EXPECT_EQ(client.features(), kServerFeatures);
-}
-
-TEST(ServerObsTest, ZeroFeatureMaskServerGrantsNothingButStillServes) {
-  // A server configured down to the version-1 feature set: runs work, the
-  // version-2 conveniences fail client-side with a clear error instead of
-  // sending frames the server would not understand.
-  ServerOptions options;
-  options.feature_mask = 0;
-  LiveServer live{Db(kSalesFlat), std::move(options)};
-  Client client = live.Connect();
-  auto negotiated = client.Negotiate();
-  ASSERT_TRUE(negotiated.ok());
-  EXPECT_EQ(negotiated->features, 0);
-
-  auto run = client.Run("Parts <- project {Part} (Sales);", /*commit=*/false);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_FALSE(run->has_profile);
-
-  for (Status st : {client.Profile("T <- transpose (Sales);").status(),
-                    client.SlowLog().status(),
-                    client.MetricsProm().status()}) {
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(st.message().find("feature"), std::string::npos)
-        << st.ToString();
-  }
-}
-
-TEST(ServerObsTest, Version1RawFramesGetByteIdenticalAnswers) {
-  // A PR-6-era client speaks version 1: bare pings and two-flag run frames.
-  // The new server's answers must be byte-for-byte what a version-1 server
-  // sent — no negotiation bytes, no trailing extensions.
+TEST(ServerObsTest, RawFramesGetByteIdenticalAnswers) {
+  // Hand-built frames without any per-request option: a bare ping and a
+  // two-flag run frame. The answers carry no bytes beyond the fixed
+  // layouts — an empty kOk, and a run response without extensions.
   LiveServer live;
   const int fd = RawConnect(live.server->port());
 
@@ -836,8 +799,8 @@ TEST(ServerObsTest, Version1RawFramesGetByteIdenticalAnswers) {
   ASSERT_TRUE(pong->has_value());
   EXPECT_EQ(**pong, EncodeOkEmpty());
 
-  // Hand-built version-1 run frame: type, flags (commit | want_dump),
-  // program string — nothing else.
+  // Hand-built run frame: type, flags (commit | want_dump), program
+  // string — nothing else.
   std::string run;
   PutU8(&run, static_cast<uint8_t>(MsgType::kRun));
   PutU8(&run, 0x03);
@@ -851,7 +814,7 @@ TEST(ServerObsTest, Version1RawFramesGetByteIdenticalAnswers) {
   EXPECT_FALSE(decoded.has_profile);
   EXPECT_NE(decoded.dump.find("!Parts"), std::string::npos);
   // Re-encoding the decoded fields reproduces the payload exactly: the
-  // response carried only the version-1 bytes.
+  // response carried only the fixed layout.
   EXPECT_EQ(EncodeRunResponse(decoded), **resp);
   ::close(fd);
 }
@@ -900,7 +863,7 @@ TEST(ServerObsTest, SlowLogDrainsOverTheWire) {
   EXPECT_EQ(first.program_hash, obs::Fnv1a64(program));
   EXPECT_EQ(first.session_id, second.session_id);
   EXPECT_GE(first.session_id, 1u);
-  // The client attached consecutive request ids under kFeatureRequestIds.
+  // The client attached consecutive request ids.
   EXPECT_GT(first.request_id, 0u);
   EXPECT_EQ(second.request_id, first.request_id + 1);
   EXPECT_EQ(first.rows_in, 2u);  // kSalesFlat data rows
@@ -955,7 +918,7 @@ TEST(ServerObsTest, RequestLatencyHistogramIsTheCanonicalSource) {
   ASSERT_TRUE(client.Tables().ok());
   const obs::Histogram::Snapshot delta =
       obs::Histogram::Delta(latency.Snap(), before);
-  // Ping (plus the lazy negotiation ping), run, tables: at least 3.
+  // Ping, run, tables: at least 3.
   EXPECT_GE(delta.count, 3u);
   EXPECT_GE(obs::HistogramPercentile(delta, 0.99),
             obs::HistogramPercentile(delta, 0.5));
@@ -994,7 +957,7 @@ TEST(ServerObsTest, TraceSpansNestInterpreterUnderTaggedRequestRoots) {
   obs::Tracing::Clear();
 }
 
-TEST(ServerObsTest, PrometheusExpositionOverWireAndHttpAgree) {
+TEST(ServerObsTest, PrometheusExpositionIsServedOverHttp) {
   ServerOptions options;
   options.metrics_port = 0;  // ephemeral HTTP endpoint
   LiveServer live{Db(kSalesFlat), std::move(options)};
@@ -1004,20 +967,16 @@ TEST(ServerObsTest, PrometheusExpositionOverWireAndHttpAgree) {
                          /*commit=*/false)
                   .ok());
 
-  auto wire = client.MetricsProm();
-  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-  EXPECT_NE(
-      wire->find("# TYPE tabular_server_request_latency histogram"),
-      std::string::npos)
-      << *wire;
-  EXPECT_NE(wire->find("tabular_server_request_latency_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-
   const std::string ok = HttpGet(
       static_cast<uint16_t>(live.server->metrics_port()),
       "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(ok.find("200 OK"), std::string::npos) << ok;
   EXPECT_NE(ok.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(ok.find("# TYPE tabular_server_request_latency histogram"),
+            std::string::npos)
+      << ok;
+  EXPECT_NE(ok.find("tabular_server_request_latency_bucket{le=\"+Inf\"}"),
+            std::string::npos);
   EXPECT_NE(ok.find("tabular_server_request_latency_count"),
             std::string::npos);
 
@@ -1032,6 +991,40 @@ TEST(ServerObsTest, PrometheusExpositionOverWireAndHttpAgree) {
 }
 
 // -- Hostile peers -----------------------------------------------------------
+
+TEST(ServerFuzzTest, PingWithABodyIsAParseErrorAndTheSessionLives) {
+  // A ping is bodyless: a trailing byte (the feature offer older clients
+  // sent) makes it a malformed request.
+  LiveServer live;
+  const int fd = RawConnect(live.server->port());
+  std::string ping = EncodeBareRequest(MsgType::kPing);
+  PutU8(&ping, 0x0F);
+  ASSERT_TRUE(WriteFrame(fd, ping).ok());
+  auto resp = ReadFrame(fd);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  ASSERT_TRUE(resp->has_value());
+  ErrorResponse err;
+  ASSERT_TRUE(DecodeError(**resp, &err).ok());
+  EXPECT_EQ(err.code, StatusCode::kParseError);
+
+  // The same session goes on serving: a bare ping, then a run.
+  ASSERT_TRUE(WriteFrame(fd, EncodeBareRequest(MsgType::kPing)).ok());
+  auto pong = ReadFrame(fd);
+  ASSERT_TRUE(pong.ok());
+  ASSERT_TRUE(pong->has_value());
+  EXPECT_EQ(**pong, EncodeOkEmpty());
+  RunRequest run;
+  run.program = "Parts <- project {Part} (Sales);";
+  run.commit = false;
+  ASSERT_TRUE(WriteFrame(fd, EncodeRunRequest(run)).ok());
+  auto ran = ReadFrame(fd);
+  ASSERT_TRUE(ran.ok());
+  ASSERT_TRUE(ran->has_value());
+  RunResponse decoded;
+  ASSERT_TRUE(DecodeRunResponse(**ran, &decoded).ok());
+  EXPECT_EQ(decoded.executed_version, 1u);
+  ::close(fd);
+}
 
 TEST(ServerFuzzTest, WellFramedGarbageGetsAnErrorAndTheSessionLives) {
   LiveServer live;

@@ -139,50 +139,7 @@ TEST(WireMessageTest, RunResponseRoundTrip) {
   EXPECT_EQ(out.dump, resp.dump);
 }
 
-// -- Version-2 negotiation and request-scoped extensions ---------------------
-
-TEST(WireNegotiationTest, FeaturePingRoundTrips) {
-  PingRequest req;
-  req.has_features = true;
-  req.features = kServerFeatures;
-  PingRequest out;
-  ASSERT_TRUE(DecodePingRequest(EncodePingRequest(req), &out).ok());
-  EXPECT_TRUE(out.has_features);
-  EXPECT_EQ(out.features, kServerFeatures);
-
-  PingResponse resp;
-  resp.features = kFeatureProfile | kFeatureSlowLog;
-  resp.protocol_version = kProtocolVersion;
-  PingResponse back;
-  ASSERT_TRUE(DecodePingResponse(EncodePingResponse(resp), &back).ok());
-  EXPECT_EQ(back.features, kFeatureProfile | kFeatureSlowLog);
-  EXPECT_EQ(back.protocol_version, kProtocolVersion);
-}
-
-TEST(WireNegotiationTest, LegacyEmptyPingMeansNoFeatures) {
-  // A version-1 client's bare kPing must decode as "no features offered";
-  // a version-1 server's empty kOk must decode as "nothing granted".
-  PingRequest req;
-  req.has_features = true;  // stale values must be overwritten
-  req.features = 0xFF;
-  ASSERT_TRUE(DecodePingRequest(EncodeBareRequest(MsgType::kPing), &req).ok());
-  EXPECT_FALSE(req.has_features);
-  EXPECT_EQ(req.features, 0);
-
-  PingResponse resp;
-  resp.features = 0xFF;
-  resp.protocol_version = 99;
-  ASSERT_TRUE(DecodePingResponse(EncodeOkEmpty(), &resp).ok());
-  EXPECT_EQ(resp.features, 0);
-  EXPECT_EQ(resp.protocol_version, 1u);
-}
-
-TEST(WireNegotiationTest, FeaturelessPingEncodesByteIdenticallyToVersion1) {
-  // The negotiation is opt-in at the byte level: not offering features
-  // produces exactly the version-1 frame.
-  EXPECT_EQ(EncodePingRequest(PingRequest{}),
-            EncodeBareRequest(MsgType::kPing));
-}
+// -- Request-scoped extensions ---------------------------------------------
 
 TEST(WireMessageTest, RunRequestProfileAndRequestIdRoundTrip) {
   RunRequest req;
@@ -200,19 +157,18 @@ TEST(WireMessageTest, RunRequestProfileAndRequestIdRoundTrip) {
   EXPECT_EQ(out.request_id, req.request_id);
 }
 
-TEST(WireMessageTest, DefaultRunRequestEncodesByteIdenticallyToVersion1) {
-  // The version-1 layout was: type byte, flags byte, program string. With
-  // no profile and no request id, the version-2 encoder must reproduce it
-  // bit for bit — that is the whole backward-compatibility argument.
+TEST(WireMessageTest, DefaultRunRequestEncodesByteIdenticallyToItsGolden) {
+  // A run with no profile and no request id is exactly: type byte, flags
+  // byte, program string. The per-request options add no bytes when unused.
   RunRequest req;
   req.program = "T <- transpose (Sales);";
   req.commit = true;
   req.want_dump = false;
-  std::string v1;
-  PutU8(&v1, static_cast<uint8_t>(MsgType::kRun));
-  PutU8(&v1, 0x01);  // kFlagCommit only
-  PutString(&v1, req.program);
-  EXPECT_EQ(EncodeRunRequest(req), v1);
+  std::string golden;
+  PutU8(&golden, static_cast<uint8_t>(MsgType::kRun));
+  PutU8(&golden, 0x01);  // kFlagCommit only
+  PutString(&golden, req.program);
+  EXPECT_EQ(EncodeRunRequest(req), golden);
 }
 
 TEST(WireMessageTest, RunRequestIdWithoutItsFlagIsTrailingGarbage) {
@@ -242,7 +198,7 @@ TEST(WireMessageTest, RunResponseProfileExtensionRoundTrips) {
   EXPECT_EQ(out.counters_json, resp.counters_json);
 }
 
-TEST(WireMessageTest, ProfilelessRunResponseEncodesByteIdenticallyToVersion1) {
+TEST(WireMessageTest, ProfilelessRunResponseEncodesByteIdenticallyToItsGolden) {
   RunResponse resp;
   resp.executed_version = 41;
   resp.committed_version = 42;
@@ -251,16 +207,16 @@ TEST(WireMessageTest, ProfilelessRunResponseEncodesByteIdenticallyToVersion1) {
   resp.rewrites_applied = 3;
   resp.rewrites_rejected = 1;
   resp.dump = "!T | !A\n";
-  std::string v1;
-  PutU8(&v1, static_cast<uint8_t>(MsgType::kOk));
-  PutU64(&v1, 41);
-  PutU64(&v1, 42);
-  PutU8(&v1, 1);
-  PutU64(&v1, 17);
-  PutU32(&v1, 3);
-  PutU32(&v1, 1);
-  PutString(&v1, resp.dump);
-  EXPECT_EQ(EncodeRunResponse(resp), v1);
+  std::string golden;
+  PutU8(&golden, static_cast<uint8_t>(MsgType::kOk));
+  PutU64(&golden, 41);
+  PutU64(&golden, 42);
+  PutU8(&golden, 1);
+  PutU64(&golden, 17);
+  PutU32(&golden, 3);
+  PutU32(&golden, 1);
+  PutString(&golden, resp.dump);
+  EXPECT_EQ(EncodeRunResponse(resp), golden);
 }
 
 TEST(WireMessageTest, UnknownRunResponseExtensionMarkerRejected) {
@@ -345,12 +301,12 @@ TEST(WireMessageTest, SlowLogEntryCountBeyondTheFrameCapRejected) {
   EXPECT_EQ(st.code(), StatusCode::kParseError);
 }
 
-TEST(WireMessageTest, TruncatedVersion2PayloadsAreParseErrors) {
-  // Every strict prefix of every version-2 message, fed to every decoder:
+TEST(WireMessageTest, TruncatedPayloadsAreParseErrors) {
+  // Every strict prefix of every extended message, fed to every decoder:
   // the only outcomes are a clean decode (a prefix can be a valid shorter
-  // message — a 1-byte ping prefix is the legacy ping) or kParseError.
-  // Never a crash, never a partial read reported as success by the
-  // message's own decoder.
+  // message — a run response cut before its profile extension) or
+  // kParseError. Never a crash, never a partial read reported as success
+  // by the message's own decoder.
   RunRequest run;
   run.program = "T <- transpose (Sales);";
   run.profile = true;
@@ -358,9 +314,6 @@ TEST(WireMessageTest, TruncatedVersion2PayloadsAreParseErrors) {
   SlowLogResponse slow;
   slow.threshold_micros = 10;
   slow.entries.push_back(SlowEntry(11));
-  PingRequest ping;
-  ping.has_features = true;
-  ping.features = kServerFeatures;
   RunResponse prof;
   prof.has_profile = true;
   prof.profile_text = "tree";
@@ -368,7 +321,6 @@ TEST(WireMessageTest, TruncatedVersion2PayloadsAreParseErrors) {
   const std::string payloads[] = {
       EncodeRunRequest(run),
       EncodeSlowLogResponse(slow),
-      EncodePingRequest(ping),
       EncodeRunResponse(prof),
   };
   for (const std::string& payload : payloads) {
@@ -377,10 +329,8 @@ TEST(WireMessageTest, TruncatedVersion2PayloadsAreParseErrors) {
       RunRequest out_run;
       RunResponse out_resp;
       SlowLogResponse out_slow;
-      PingRequest out_ping;
       for (Status st : {DecodeRunRequest(prefix, &out_run),
                         DecodeSlowLogResponse(prefix, &out_slow),
-                        DecodePingRequest(prefix, &out_ping),
                         DecodeRunResponse(prefix, &out_resp)}) {
         if (!st.ok()) {
           EXPECT_EQ(st.code(), StatusCode::kParseError) << "cut=" << cut;
@@ -624,15 +574,11 @@ TEST(WireFuzzTest, RandomPayloadsNeverCrashDecoders) {
     RunRequest req;
     RunResponse resp;
     ErrorResponse err;
-    PingRequest ping_req;
-    PingResponse ping_resp;
     SlowLogResponse slow;
     // Decoders must return a Status, never crash; contents are unchecked.
     (void)DecodeRunRequest(payload, &req);
     (void)DecodeRunResponse(payload, &resp);
     (void)DecodeError(payload, &err);
-    (void)DecodePingRequest(payload, &ping_req);
-    (void)DecodePingResponse(payload, &ping_resp);
     (void)DecodeSlowLogResponse(payload, &slow);
   }
 }

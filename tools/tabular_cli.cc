@@ -13,13 +13,14 @@
 //   dump                   print the current database (grid format)
 //   tables                 list table names, one per line
 //   stats                  server statistics as JSON
-//   metrics [--prom]       server metrics registry as JSON, or in
-//                          Prometheus text exposition format
+//   metrics                server metrics registry as JSON (Prometheus
+//                          text is served by tabulard --metrics-port)
 //   slowlog                drain the server's slow-query log
 //   shutdown               ask the server to shut down gracefully
 //
 // Exit codes: 0 success, 1 server-side error, 2 usage/connection failure.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,7 +36,7 @@ constexpr const char* kUsage =
     R"(usage: tabular_cli [--connect host:port | --unix path] <command> [args]
 
 commands: ping, run <program.ta>, query <program.ta>, profile <program.ta>,
-dump, tables, stats, metrics [--prom], slowlog, shutdown
+dump, tables, stats, metrics, slowlog, shutdown
 (default endpoint: --connect 127.0.0.1:7690)
 )";
 
@@ -45,6 +46,20 @@ bool ReadFile(const std::string& path, std::string* out) {
   std::ostringstream ss;
   ss << in.rdbuf();
   *out = ss.str();
+  return true;
+}
+
+// A decimal port in [1, 65535]; anything else (a service name, trailing
+// text, a value that would wrap) is rejected rather than dialed.
+bool ParsePort(const char* value, uint16_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  unsigned long v = 0;
+  if (*value >= '0' && *value <= '9') v = std::strtoul(value, &end, 10);
+  if (end == nullptr || errno != 0 || *end != '\0' || v == 0 || v > 65535) {
+    return false;
+  }
+  *out = static_cast<uint16_t>(v);
   return true;
 }
 
@@ -77,8 +92,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       host = spec.substr(0, colon);
-      port = static_cast<uint16_t>(
-          std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+      if (!ParsePort(spec.c_str() + colon + 1, &port)) {
+        std::fprintf(stderr,
+                     "tabular_cli: --connect port '%s' is not a port "
+                     "(1 to 65535)\n",
+                     spec.c_str() + colon + 1);
+        return 2;
+      }
     } else if (arg == "--unix") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "tabular_cli: --unix requires a path\n");
@@ -218,14 +238,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "metrics") {
-    if (command_arg == "--prom") {
-      auto metrics = client.MetricsProm();
-      if (!metrics.ok()) return fail(metrics.status());
-      std::fputs(metrics->c_str(), stdout);
-      return 0;
-    }
     if (!command_arg.empty()) {
-      std::fprintf(stderr, "tabular_cli: metrics takes only --prom\n%s",
+      std::fprintf(stderr, "tabular_cli: metrics takes no argument\n%s",
                    kUsage);
       return 2;
     }
